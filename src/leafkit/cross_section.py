@@ -13,6 +13,11 @@ to its own output.
 Interpolation polynomials e_i with e_i(lambda_j) = delta_ij express the
 projections as e_i(T) and give a computable neighborhood criterion
 max_i ||e_i(R) - e_i(T)|| < 1 for the construction to apply at R.
+
+The cross-section, delta, the off-diagonal bound and the on-orbit
+neighborhood criterion are computed on the orthonormal bases B_i
+(n x m_i) of the eigenspaces, E_i = B_i B_i*.  The n x n projections are
+still built, for SpectralData and the off-orbit neighborhood criterion.
 """
 
 from __future__ import annotations
@@ -23,15 +28,15 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import CornerSingular, NotCommuting, NotUnitary, SingleCluster
+from .errors import CornerSingular, NotCommuting, SingleCluster
 from .opcore import (
     SpectralData,
-    as_matrix,
     clustered_eigh,
     default_cluster_tol,
-    is_unitary,
+    defect_exceeds,
     require_hermitian,
     require_same_size,
+    require_unitary,
     spectral_norm,
 )
 from .norming import NormingFunctionSpec, op_norm
@@ -41,13 +46,12 @@ CORNER_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ReferenceOperator:
-    """Hermitian reference with clustered spectral data, orthonormal
-    bases of the eigenspaces, and the Lagrange interpolation polynomials
-    of its distinct eigenvalues."""
+    """Hermitian reference with clustered spectral data and orthonormal
+    bases of the eigenspaces; interp_scalar evaluates the Lagrange
+    interpolation polynomials of its distinct eigenvalues."""
 
     T: np.ndarray = field(repr=False)
     spectral: SpectralData
-    interp_polys: list[Polynomial] = field(repr=False)
     block_bases: list[np.ndarray] = field(repr=False)
 
     @property
@@ -70,9 +74,10 @@ class ReferenceOperator:
             out = out * (x - lam) / (nodes[i] - lam)
         return out
 
-    def interp_on_hermitian(self, i: int, r: np.ndarray) -> np.ndarray:
-        """e_i(R) for Hermitian R, evaluated eigenvalue-wise."""
-        w, v = np.linalg.eigh(r)
+    def interp_on_hermitian(self, i: int, eig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """e_i(R) for Hermitian R with eigensystem eig = (w, U), evaluated
+        eigenvalue-wise."""
+        w, v = eig
         return (v * self.interp_scalar(i, w)) @ v.conj().T
 
 
@@ -88,8 +93,8 @@ class CrossSectionResult:
 
 
 def build_reference(t, cluster_tol: float | None = None) -> ReferenceOperator:
-    """Spectral data plus Lagrange interpolation polynomials for a
-    Hermitian reference; e_i(T) reproduces the projection E_i."""
+    """Clustered spectral data and eigenspace bases of a Hermitian
+    reference; e_i(T) reproduces the projection E_i."""
     tm = require_hermitian(t, name="T")
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(tm)
@@ -98,15 +103,8 @@ def build_reference(t, cluster_tol: float | None = None) -> ReferenceOperator:
     mults = np.array([len(g) for g in groups], dtype=int)
     bases = [np.ascontiguousarray(v[:, g]) for g in groups]
     projections = [b @ b.conj().T for b in bases]
-    polys = []
-    for i, lam in enumerate(reps):
-        p = Polynomial([1.0])
-        for j, mu in enumerate(reps):
-            if j != i:
-                p = p * Polynomial([-mu, 1.0]) / (lam - mu)
-        polys.append(p)
     spectral = SpectralData(reps, mults, projections, float(cluster_tol))
-    return ReferenceOperator(T=tm, spectral=spectral, interp_polys=polys, block_bases=bases)
+    return ReferenceOperator(T=tm, spectral=spectral, block_bases=bases)
 
 
 @dataclass(frozen=True)
@@ -117,30 +115,46 @@ class NeighborhoodCheck:
 
 def neighborhood_check(ref: ReferenceOperator, r) -> NeighborhoodCheck:
     """Deviation max_i ||e_i(R) - e_i(T)|| and whether it is below 1, the
-    criterion for R to lie in the cross-section neighborhood."""
+    criterion for R to lie in the cross-section neighborhood.
+
+    One eigendecomposition R = U diag(w) U* serves every cluster.  When
+    each eigenvalue lies within the reference's cluster tolerance of a
+    node (as on the orbit of T), e_i(R) is the spectral projection
+    U_i U_i* of R for the eigenvalues at lambda_i, and its distance to
+    E_i = B_i B_i* is the sine of the largest principal angle,
+    ||U_i - B_i B_i* U_i||, or 1 when the ranks differ.  Otherwise the
+    Lagrange products are evaluated at w and compared densely.
+    """
     rm = require_hermitian(r, name="R")
     require_same_size(ref.T, rm)
-    dev = 0.0
-    for i, e in enumerate(ref.spectral.projections):
-        dev = max(dev, spectral_norm(ref.interp_on_hermitian(i, rm) - e))
+    w, u = np.linalg.eigh(rm)
+    # the tolerance windows of distinct nodes are disjoint: cluster_indices
+    # leaves gaps above twice the tolerance between clusters
+    near = np.abs(w[None, :] - ref.eigenvalues[:, None]) <= ref.spectral.cluster_tol
+    if np.all(near.any(axis=0)):
+        dev = 0.0
+        for b, at_node in zip(ref.block_bases, near):
+            ui = u[:, at_node]
+            if ui.shape[1] != b.shape[1]:
+                dev = max(dev, 1.0)
+            else:
+                dev = max(dev, spectral_norm(ui - b @ (b.conj().T @ ui)))
+    else:
+        dev = max(
+            spectral_norm(ref.interp_on_hermitian(i, (w, u)) - e)
+            for i, e in enumerate(ref.spectral.projections)
+        )
     return NeighborhoodCheck(max_dev=dev, inside=dev < 1.0)
-
-
-def _require_unitary(v) -> np.ndarray:
-    m = as_matrix(v, "V")
-    if not is_unitary(m):
-        raise NotUnitary("matrix is not unitary within tolerance")
-    return m
 
 
 def delta_map(ref: ReferenceOperator, v) -> np.ndarray:
     """Block-diagonal compression sum_i E_i V E_i of a unitary along the
     spectral blocks of the reference."""
-    vm = _require_unitary(v)
+    vm = require_unitary(v, name="V")
     require_same_size(ref.T, vm)
     out = np.zeros_like(vm)
-    for e in ref.spectral.projections:
-        out += e @ vm @ e
+    for b in ref.block_bases:
+        out += b @ (b.conj().T @ vm @ b) @ b.conj().T
     return out
 
 
@@ -168,7 +182,7 @@ def psi_map(ref: ReferenceOperator, v, corner_tol: float = CORNER_TOL) -> np.nda
     factors E_i V E_i = X_i Q_i; psi(V) commutes with the reference and
     psi(V)* (sum_i Q_i) is the polar decomposition of the compression
     delta(V)."""
-    vm = _require_unitary(v)
+    vm = require_unitary(v, name="V")
     require_same_size(ref.T, vm)
     factors, _ = _block_polars(ref, vm, corner_tol)
     psi = np.zeros_like(vm)
@@ -183,7 +197,7 @@ def cross_section_phi(ref: ReferenceOperator, v, corner_tol: float = CORNER_TOL)
     phi depends only on the orbit point V* T V: multiplying V on the left
     by any unitary commuting with T leaves phi unchanged.
     """
-    vm = _require_unitary(v)
+    vm = require_unitary(v, name="V")
     require_same_size(ref.T, vm)
     factors, min_sv = _block_polars(ref, vm, corner_tol)
     psi = np.zeros_like(vm)
@@ -202,12 +216,13 @@ def well_definedness_check(ref: ReferenceOperator, v, g) -> float:
     """||phi(GV) - phi(V)|| for a unitary G commuting with the reference;
     both products represent the same orbit point, so the deviation is
     roundoff only."""
-    vm = _require_unitary(v)
-    gm = _require_unitary(g)
+    vm = require_unitary(v, name="V")
+    gm = require_unitary(g, name="V")
     require_same_size(vm, gm)
-    comm = spectral_norm(gm @ ref.T - ref.T @ gm)
-    if comm > 1e-10 * max(1.0, spectral_norm(ref.T)):
-        raise NotCommuting(f"G does not commute with the reference (residual {comm:.3e})")
+    comm = gm @ ref.T - ref.T @ gm
+    if defect_exceeds(comm, 1e-10, ref.T):
+        residual = spectral_norm(comm)
+        raise NotCommuting(f"G does not commute with the reference (residual {residual:.3e})")
     phi_v = cross_section_phi(ref, vm).phi
     phi_gv = cross_section_phi(ref, gm @ vm).phi
     return spectral_norm(phi_gv - phi_v)
@@ -232,7 +247,7 @@ def continuity_modulus(
     n = ref.size
     eye = np.eye(n)
     for v in v_sequence:
-        vm = _require_unitary(v)
+        vm = require_unitary(v, name="V")
         op_dist = spectral_norm(vm.conj().T @ ref.T @ vm - ref.T)
         phi = cross_section_phi(ref, vm).phi
         records.append(
@@ -249,20 +264,26 @@ class OffdiagBound:
 def offdiag_bound_check(ref: ReferenceOperator, phi_norm: NormingFunctionSpec, w) -> OffdiagBound:
     """Spectral-gap-weighted bound on off-diagonal compressions:
     ||E_i W E_j||_phi |lambda_i - lambda_j| <= ||TW - WT||_phi for i != j.
-    Returns the largest left-minus-right difference over the pairs."""
-    wm = _require_unitary(w)
+    Returns the largest left-minus-right difference over the pairs.
+
+    E_i W E_j = B_i (B_i* W B_j) B_j* has the nonzero singular values of
+    its m_i x m_j core B_i* W B_j, so each norm is taken on the core."""
+    wm = require_unitary(w, name="V")
     require_same_size(ref.T, wm)
     lams = ref.eigenvalues
     if len(lams) < 2:
         raise SingleCluster("the reference has a single eigenvalue cluster")
     comm_norm = op_norm(phi_norm, ref.T @ wm - wm @ ref.T)
+    frame = np.hstack(ref.block_bases)
+    cores = frame.conj().T @ wm @ frame
+    edges = np.cumsum([0, *ref.spectral.multiplicities])
+    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
     worst = -np.inf
-    projs = ref.spectral.projections
     for i in range(len(lams)):
         for j in range(len(lams)):
             if i == j:
                 continue
-            lhs = op_norm(phi_norm, projs[i] @ wm @ projs[j]) * abs(lams[i] - lams[j])
+            lhs = op_norm(phi_norm, cores[blocks[i], blocks[j]]) * abs(lams[i] - lams[j])
             worst = max(worst, lhs - comm_norm)
     return OffdiagBound(max_violation=float(worst))
 

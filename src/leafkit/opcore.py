@@ -21,6 +21,7 @@ from .errors import (
     NearSingular,
     NotHermitian,
     NotSkewHermitian,
+    NotUnitary,
     ShapeError,
     SizeMismatch,
     SpectrumOutOfRange,
@@ -64,33 +65,57 @@ def _scale(a: np.ndarray) -> float:
     return max(1.0, spectral_norm(a))
 
 
+def defect_exceeds(d: np.ndarray, tol: float, m: np.ndarray | None = None) -> bool:
+    """Whether ||d|| > tol * max(1, ||m||), or ||d|| > tol without m.
+
+    Since ||d|| <= ||d||_F and the scale is at least 1, a Frobenius norm
+    below tol / 2 accepts without a singular value decomposition; the
+    factor 2 keeps that shortcut clear of roundoff at the boundary.  Every
+    other defect gets the exact spectral-norm test, so the decision is the
+    one the spectral rule makes.
+    """
+    if np.linalg.norm(d) < 0.5 * tol:
+        return False
+    return spectral_norm(d) > tol * (1.0 if m is None else _scale(m))
+
+
 def hermitian_defect(a: np.ndarray) -> float:
     return spectral_norm(a - a.conj().T)
 
 
+def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
+    return not defect_exceeds(m - m.conj().T, tol, m)
+
+
+def is_skew_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
+    return not defect_exceeds(m + m.conj().T, tol, m)
+
+
 def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
     m = require_square(a, name)
-    d = hermitian_defect(m)
-    if d > tol * _scale(m):
-        raise NotHermitian(f"{name}: Hermitian defect {d:.3e} exceeds tolerance")
+    if not is_hermitian(m, tol):
+        raise NotHermitian(f"{name}: Hermitian defect {hermitian_defect(m):.3e} exceeds tolerance")
     return 0.5 * (m + m.conj().T)
 
 
 def require_skew_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
     m = require_square(a, name)
-    d = spectral_norm(m + m.conj().T)
-    if d > tol * _scale(m):
+    if not is_skew_hermitian(m, tol):
+        d = spectral_norm(m + m.conj().T)
         raise NotSkewHermitian(f"{name}: skew-Hermitian defect {d:.3e} exceeds tolerance")
     return 0.5 * (m - m.conj().T)
 
 
-def unitary_defect(u: np.ndarray) -> float:
-    n = u.shape[0]
-    return spectral_norm(u.conj().T @ u - np.eye(n))
-
-
 def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    return u.shape[0] == u.shape[1] and unitary_defect(u) <= tol
+    n = u.shape[0]
+    return n == u.shape[1] and not defect_exceeds(u.conj().T @ u - np.eye(n), tol)
+
+
+def require_unitary(u, name: str = "matrix") -> np.ndarray:
+    m = as_matrix(u, name)
+    if not is_unitary(m):
+        raise NotUnitary("matrix is not unitary within tolerance")
+    return m
 
 
 def cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:

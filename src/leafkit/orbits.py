@@ -18,14 +18,14 @@ from .opcore import (
     as_matrix,
     clustered_eigh,
     default_cluster_tol,
-    hermitian_defect,
+    is_hermitian,
+    is_skew_hermitian,
     matrix_exp,
     random_skew_hermitian,
     require_hermitian,
     require_same_size,
     require_skew_hermitian,
     require_square,
-    spectral_norm,
 )
 
 SPLIT_SEED = 1618
@@ -39,10 +39,9 @@ def normal_eigensystem(t, cluster_tol: float | None = None) -> tuple[np.ndarray,
     {i theta} in the skew case and {theta} in the Hermitian case.
     """
     m = require_square(t)
-    scale = max(1.0, spectral_norm(m))
-    if hermitian_defect(m) <= 1e-10 * scale:
+    if is_hermitian(m):
         h = 0.5 * (m + m.conj().T)
-    elif spectral_norm(m + m.conj().T) <= 1e-10 * scale:
+    elif is_skew_hermitian(m):
         h = -1j * m
         h = 0.5 * (h + h.conj().T)
     else:

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotHermitian, NotPositive, NotUnitary
+from .errors import NotHermitian, NotPositive
 from .opcore import (
-    UNITARY_TOL,
     as_matrix,
     clustered_eigh,
     default_cluster_tol,
     hermitian_defect,
-    is_unitary,
+    is_hermitian,
+    require_unitary,
     spectral_norm,
 )
 
@@ -37,9 +37,8 @@ class DensityFunctional:
 
     def __post_init__(self):
         m = as_matrix(self.rho, "rho")
-        d = hermitian_defect(m)
-        if d > self.herm_tol * max(1.0, spectral_norm(m)):
-            raise NotHermitian(f"density defect {d:.3e} exceeds herm_tol")
+        if not is_hermitian(m, self.herm_tol):
+            raise NotHermitian(f"density defect {hermitian_defect(m):.3e} exceeds herm_tol")
         object.__setattr__(self, "rho", 0.5 * (m + m.conj().T))
 
     @property
@@ -124,13 +123,6 @@ def centralizer_basis(phi: DensityFunctional, cluster_tol: float | None = None) 
     return basis
 
 
-def _require_unitary(u) -> np.ndarray:
-    m = as_matrix(u, "u")
-    if not is_unitary(m, UNITARY_TOL):
-        raise NotUnitary("matrix is not unitary within tolerance")
-    return m
-
-
 @dataclass(frozen=True)
 class CentralizerBlockCheck:
     in_centralizer: bool
@@ -146,7 +138,7 @@ def centralizer_block_check(phi: DensityFunctional, u) -> CentralizerBlockCheck:
     with the (faithful) restriction of rho there; off the support it is
     unconstrained.
     """
-    um = _require_unitary(u)
+    um = require_unitary(u, name="u")
     w, v = _psd_eigensystem(phi)
     thr = SUPPORT_REL_TOL * spectral_norm(phi.rho)
     cols = v[:, w > thr]
@@ -178,7 +170,7 @@ def jordan_intersection_check(phi: DensityFunctional, u) -> JordanIntersectionCh
     """A unitary fixes phi under conjugation iff it fixes both pieces of
     the Jordan split; the three conjugation residuals are reported as
     booleans at the 1e-9 threshold."""
-    um = _require_unitary(u)
+    um = require_unitary(u, name="u")
     pair = jordan_decompose(phi)
 
     def fixes(mat: np.ndarray) -> bool:
@@ -194,7 +186,7 @@ def jordan_intersection_check(phi: DensityFunctional, u) -> JordanIntersectionCh
 def support_equivariance_check(phi: DensityFunctional, u) -> float:
     """Residual of s(Ad(u)* phi) = u^{-1} s(phi) u for a PSD density:
     the support of the conjugated density against the conjugated support."""
-    um = _require_unitary(u)
+    um = require_unitary(u, name="u")
     conj = DensityFunctional(um.conj().T @ phi.rho @ um, herm_tol=max(phi.herm_tol, 1e-9))
     lhs = support_projection(conj)
     rhs = um.conj().T @ support_projection(phi) @ um

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import NotSkewHermitian, NotUnitVector, SizeMismatch
 from .opcore import (
     as_matrix,
-    hermitian_defect,
+    is_hermitian,
+    is_skew_hermitian,
     random_skew_hermitian,
     require_same_size,
     require_square,
@@ -35,10 +36,9 @@ def _as_skew(t, name: str = "T") -> np.ndarray:
     """Return the skew-Hermitian representative: skew input unchanged,
     Hermitian input multiplied by i."""
     m = require_square(t, name)
-    scale = max(1.0, spectral_norm(m))
-    if spectral_norm(m + m.conj().T) <= 1e-10 * scale:
+    if is_skew_hermitian(m):
         return 0.5 * (m - m.conj().T)
-    if hermitian_defect(m) <= 1e-10 * scale:
+    if is_hermitian(m):
         return 0.5j * (m + m.conj().T)
     raise NotSkewHermitian(f"{name}: expected a skew-Hermitian (or Hermitian) matrix")
 
@@ -64,7 +64,7 @@ def omega(t, x, y) -> float:
     xm = as_matrix(x, "X")
     ym = as_matrix(y, "Y")
     for name, m in (("X", xm), ("Y", ym)):
-        if spectral_norm(m + m.conj().T) > 1e-10 * max(1.0, spectral_norm(m)):
+        if not is_skew_hermitian(m):
             raise NotSkewHermitian(f"{name}: expected a skew-Hermitian matrix")
     return float(omega_complexified(tm, xm, ym).real)
 
@@ -315,7 +315,7 @@ def projective_form_compare(x0, a1, a2) -> ProjectiveCompare:
     a1m = require_square(a1, "a1")
     a2m = require_square(a2, "a2")
     for name, m in (("a1", a1m), ("a2", a2m)):
-        if spectral_norm(m + m.conj().T) > 1e-10 * max(1.0, spectral_norm(m)):
+        if not is_skew_hermitian(m):
             raise NotSkewHermitian(f"{name}: expected a skew-Hermitian matrix")
     require_same_size(a1m, a2m)
     if a1m.shape[0] != len(x):

@@ -22,6 +22,7 @@ from conftest import (
     PHI_SET,
     SQRT_PI,
     hermitian_with_spectrum,
+    random_hermitian,
     random_skew,
     random_unitary,
     separated_values,
@@ -34,29 +35,72 @@ def commuting_unitary(t, rng, scale=0.5):
     return matrix_exp(scale * s)
 
 
+def assert_lagrange_basis(ref):
+    """e_i(lambda_j) = delta_ij at every node, and e_i(T) = E_i."""
+    nodes = ref.eigenvalues
+    eye = np.eye(len(nodes))
+    for i, e in enumerate(ref.spectral.projections):
+        np.testing.assert_allclose(ref.interp_scalar(i, nodes), eye[i], atol=1e-12)
+        np.testing.assert_allclose(ref.interp_on_hermitian(i, np.linalg.eigh(ref.T)), e, atol=1e-12)
+
+
+OFF_NODE = np.linspace(-2.0, 3.0, 11)
+
+
 class TestBuildReference:
+    # A polynomial of degree below p is fixed by its values at the p nodes,
+    # so delta_ij at the nodes determines the coefficients; the closed
+    # forms at off-node points check the degree as well.
     def test_two_point_lagrange(self):
         ref = build_reference(np.diag([1.0, 0.0]).astype(complex))
         # clusters ascending: index 0 <-> eigenvalue 0, index 1 <-> eigenvalue 1
-        np.testing.assert_allclose(ref.interp_polys[0].coef, [1.0, -1.0], atol=1e-12)
-        np.testing.assert_allclose(ref.interp_polys[1].coef, [0.0, 1.0], atol=1e-12)
+        assert_lagrange_basis(ref)
+        np.testing.assert_allclose(ref.interp_scalar(0, OFF_NODE), 1.0 - OFF_NODE, atol=1e-12)
+        np.testing.assert_allclose(ref.interp_scalar(1, OFF_NODE), OFF_NODE, atol=1e-12)
 
     def test_three_point_lagrange(self):
         ref = build_reference(np.diag([1.0, -1.0, 0.0]).astype(complex))
+        assert_lagrange_basis(ref)
         i = int(np.argmax(ref.eigenvalues))  # the lambda = 1 node
-        # x(x+1)/2 has coefficients (0, 1/2, 1/2)
-        np.testing.assert_allclose(ref.interp_polys[i].coef, [0.0, 0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(
+            ref.interp_scalar(i, OFF_NODE), 0.5 * OFF_NODE * (OFF_NODE + 1.0), atol=1e-12
+        )
 
     def test_scalar_reference(self):
         ref = build_reference(2.5 * np.eye(3))
-        assert len(ref.interp_polys) == 1
-        np.testing.assert_allclose(ref.interp_polys[0].coef, [1.0], atol=1e-12)
+        assert len(ref.eigenvalues) == 1
+        assert_lagrange_basis(ref)
+        np.testing.assert_allclose(ref.interp_scalar(0, OFF_NODE), np.ones_like(OFF_NODE), atol=1e-12)
 
     def test_polys_reproduce_projections(self, rng):
         t = hermitian_with_spectrum([1.0, 1.0, -2.0, 0.5], rng)
         ref = build_reference(t)
         for i, e in enumerate(ref.spectral.projections):
-            assert spectral_norm(ref.interp_on_hermitian(i, t) - e) <= 1e-9
+            assert spectral_norm(ref.interp_on_hermitian(i, np.linalg.eigh(t)) - e) <= 1e-9
+
+
+def spectrum_with_frame(values, mults, rng):
+    """T = Q diag Q* with a known unitary Q; returns T, Q and the column
+    groups of the eigenspaces."""
+    diag = np.repeat(np.asarray(values, dtype=float), mults)
+    q = random_unitary(len(diag), rng)
+    edges = np.cumsum([0, *mults])
+    groups = [np.arange(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    return (q * diag) @ q.conj().T, q, groups
+
+
+def dense_lagrange_deviation(values, projections, r):
+    """max_i ||e_i(R) - E_i|| with e_i(R) the product of the factors
+    (R - lambda_j)/(lambda_i - lambda_j), multiplied out densely."""
+    eye = np.eye(r.shape[0])
+    dev = 0.0
+    for i, (lam, e) in enumerate(zip(values, projections)):
+        ei = eye.astype(complex)
+        for j, mu in enumerate(values):
+            if j != i:
+                ei = ei @ (r - mu * eye) / (lam - mu)
+        dev = max(dev, spectral_norm(ei - e))
+    return dev
 
 
 class TestNeighborhoodCheck:
@@ -76,6 +120,46 @@ class TestNeighborhoodCheck:
             devs.append(neighborhood_check(ref, v.conj().T @ t @ v).max_dev)
         assert all(d1 >= d2 - 1e-12 for d1, d2 in zip(devs, devs[1:]))
         assert neighborhood_check(ref, matrix_exp(0.05 * a).conj().T @ t @ matrix_exp(0.05 * a)).inside
+
+    def test_many_simple_clusters_give_principal_angle_sine(self, rng):
+        # 64 simple clusters: the degree-63 Lagrange products evaluated at
+        # the computed eigenvalues of R amplify their roundoff past 1
+        n = 64
+        values = (6.0 / n) * np.arange(n)
+        t, q, _ = spectrum_with_frame(values, [1] * n, rng)
+        a = random_skew(n, rng)
+        v = matrix_exp(0.2 * a / spectral_norm(a))
+        res = neighborhood_check(build_reference(t), v.conj().T @ t @ v)
+        # e_i(R) = V* E_i V: the cosine of the angle between q_i and V* q_i
+        cosines = np.abs(np.einsum("ki,kl,li->i", q.conj(), v.conj().T, q))
+        sine = np.sqrt(np.max(1.0 - np.minimum(cosines, 1.0) ** 2))
+        assert abs(res.max_dev - sine) <= 1e-8
+        assert res.inside
+
+    def test_off_orbit_against_dense_lagrange(self, rng):
+        for values, mults in (([-1.0, 1.0], [2, 1]), ([-1.0, 0.5, 2.0], [1, 2, 2]),
+                              ([-2.0, -0.5, 1.0, 2.5], [1, 1, 2, 1])):
+            t, q, groups = spectrum_with_frame(values, mults, rng)
+            ref = build_reference(t)
+            projections = [q[:, g] @ q[:, g].conj().T for g in groups]
+            for size in (0.05, 0.5, 2.0):
+                h = random_hermitian(t.shape[0], rng)
+                r = t + size * h / spectral_norm(h)
+                expected = dense_lagrange_deviation(values, projections, r)
+                res = neighborhood_check(ref, r)
+                assert abs(res.max_dev - expected) <= 1e-10 * max(1.0, expected)
+                assert res.inside == (expected < 1.0)
+
+    def test_eigenvalues_at_nodes_with_other_multiplicities(self, rng):
+        # every eigenvalue of R sits at a node, but R is not on the orbit
+        values = [1.0, 2.0]
+        t, q, groups = spectrum_with_frame(values, [2, 1], rng)
+        r = (q * np.array([1.0, 2.0, 2.0])) @ q.conj().T
+        projections = [q[:, g] @ q[:, g].conj().T for g in groups]
+        res = neighborhood_check(build_reference(t), r)
+        assert res.max_dev == pytest.approx(dense_lagrange_deviation(values, projections, r), abs=1e-12)
+        assert res.max_dev == pytest.approx(1.0, abs=1e-12)
+        assert not res.inside
 
     def test_negated_reference_is_outside(self):
         t = np.diag([1.0, -1.0, 0.0]).astype(complex)
@@ -281,6 +365,24 @@ class TestOffdiagBound:
             ref = build_reference(t)
             w = random_unitary(3, rng)
             assert offdiag_bound_check(ref, phi_norm, w).max_violation <= 1e-9
+
+    def test_against_dense_compressions(self, rng):
+        for values, mults in (([-1.0, 2.0], [3, 1]), ([0.0, 1.0, 3.0], [1, 2, 3]),
+                              ([-2.0, -1.0, 0.5, 1.5, 4.0], [2, 1, 3, 1, 5])):
+            t, q, groups = spectrum_with_frame(values, mults, rng)
+            ref = build_reference(t)
+            projections = [q[:, g] @ q[:, g].conj().T for g in groups]
+            w = random_unitary(t.shape[0], rng)
+            for phi_norm in PHI_SET:
+                comm = op_norm(phi_norm, t @ w - w @ t)
+                expected = max(
+                    op_norm(phi_norm, ei @ w @ ej) * abs(li - lj) - comm
+                    for i, (li, ei) in enumerate(zip(values, projections))
+                    for j, (lj, ej) in enumerate(zip(values, projections))
+                    if i != j
+                )
+                res = offdiag_bound_check(ref, phi_norm, w)
+                assert abs(res.max_violation - expected) <= 1e-12 * comm
 
     def test_single_cluster(self):
         ref = build_reference(np.eye(3))

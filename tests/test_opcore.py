@@ -6,19 +6,26 @@ from leafkit.errors import (
     NearSingular,
     NotHermitian,
     NotSkewHermitian,
+    NotUnitary,
     ShapeError,
     SpectrumOutOfRange,
 )
 from leafkit.opcore import (
+    HERM_TOL,
+    UNITARY_TOL,
     function_calculus,
+    is_unitary,
     matrix_exp,
     polar_decompose,
+    require_hermitian,
+    require_skew_hermitian,
+    require_unitary,
     singular_values,
     spectral_decompose,
     spectral_norm,
 )
 
-from conftest import PHI_SET, random_hermitian, random_psd, random_unitary
+from conftest import PHI_SET, random_hermitian, random_psd, random_skew, random_unitary
 
 
 class TestSpectralDecompose:
@@ -211,3 +218,99 @@ class TestEdgeCases:
         sd = spectral_decompose(2.0 * np.eye(3))
         assert sd.multiplicities.tolist() == [3]
         np.testing.assert_allclose(sd.projections[0], np.eye(3), atol=1e-12)
+
+
+def spectral_rule_rejects(d, tol, m=None):
+    """The reference gate: reject when ||D|| > tol * max(1, ||M||)."""
+    scale = 1.0 if m is None else max(1.0, spectral_norm(m))
+    return spectral_norm(d) > tol * scale
+
+
+def with_defect(base, direction, tol, factor):
+    """base + s * direction with ||s * direction|| = factor * tol * max(1, ||M||)
+    for the result M (direction has unit spectral norm)."""
+    s = 0.0
+    for _ in range(3):
+        s = factor * tol * max(1.0, spectral_norm(base + s * direction))
+    return base + s * direction
+
+
+BOUNDARY = [1.0 - 1e-3, 1.0 + 1e-3]
+
+
+class TestValidationGates:
+    """Each gate makes the decision and raises the message of the
+    spectral-norm rule.  At ||M|| >> 1 and a defect of (1 +- 1e-3) tol
+    ||M||, the Frobenius norm of the defect is above tol, so the exact
+    test decides."""
+
+    @pytest.mark.parametrize("factor", BOUNDARY)
+    def test_require_hermitian(self, rng, factor):
+        n = 6
+        k = random_skew(n, rng)
+        h = random_hermitian(n, rng)
+        m = with_defect(1e4 * h / spectral_norm(h), k / spectral_norm(k), 0.5 * HERM_TOL, factor)
+        d = m - m.conj().T
+        assert np.linalg.norm(d) > HERM_TOL
+        rejects = spectral_rule_rejects(d, HERM_TOL, m)
+        assert rejects == (factor > 1.0)
+        if rejects:
+            with pytest.raises(NotHermitian) as err:
+                require_hermitian(m, name="M")
+            assert str(err.value) == f"M: Hermitian defect {spectral_norm(d):.3e} exceeds tolerance"
+        else:
+            np.testing.assert_array_equal(require_hermitian(m), 0.5 * (m + m.conj().T))
+
+    @pytest.mark.parametrize("factor", BOUNDARY)
+    def test_require_skew_hermitian(self, rng, factor):
+        n = 6
+        k = random_skew(n, rng)
+        h = random_hermitian(n, rng)
+        m = with_defect(1e4 * k / spectral_norm(k), h / spectral_norm(h), 0.5 * HERM_TOL, factor)
+        d = m + m.conj().T
+        assert np.linalg.norm(d) > HERM_TOL
+        rejects = spectral_rule_rejects(d, HERM_TOL, m)
+        assert rejects == (factor > 1.0)
+        if rejects:
+            with pytest.raises(NotSkewHermitian) as err:
+                require_skew_hermitian(m, name="M")
+            assert str(err.value) == f"M: skew-Hermitian defect {spectral_norm(d):.3e} exceeds tolerance"
+        else:
+            np.testing.assert_array_equal(require_skew_hermitian(m), 0.5 * (m - m.conj().T))
+
+    @pytest.mark.parametrize("factor", BOUNDARY)
+    def test_is_unitary(self, rng, factor):
+        # U* U - 1 = diag(delta): every singular value of the defect at the boundary
+        n = 6
+        delta = factor * UNITARY_TOL * np.ones(n)
+        u = random_unitary(n, rng) * np.sqrt(1.0 + delta)
+        d = u.conj().T @ u - np.eye(n)
+        assert np.linalg.norm(d) > UNITARY_TOL
+        rejects = spectral_rule_rejects(d, UNITARY_TOL)
+        assert rejects == (factor > 1.0)
+        assert is_unitary(u) is not rejects
+        if rejects:
+            with pytest.raises(NotUnitary) as err:
+                require_unitary(u)
+            assert str(err.value) == "matrix is not unitary within tolerance"
+        else:
+            np.testing.assert_array_equal(require_unitary(u), u)
+
+    def test_spread_defect_below_unit_scale(self, rng):
+        # ||M|| < 1 and a defect with equal singular values: the Frobenius
+        # norm is sqrt(n) times the spectral norm, so the exact test runs
+        n = 16
+        h = random_hermitian(n, rng)
+        q = random_unitary(n, rng)
+        flat = (q * 1j) @ q.conj().T  # skew with every singular value 1
+        for factor in BOUNDARY:
+            m = 0.1 * h / spectral_norm(h) + 0.5 * factor * HERM_TOL * flat
+            d = m - m.conj().T
+            assert spectral_norm(m) < 1.0 and np.linalg.norm(d) > HERM_TOL
+            rejects = spectral_rule_rejects(d, HERM_TOL, m)
+            assert rejects == (factor > 1.0)
+            if rejects:
+                with pytest.raises(NotHermitian):
+                    require_hermitian(m)
+            else:
+                require_hermitian(m)
