@@ -18,6 +18,7 @@ from .errors import (
     NotUnitary,
     NotUnitVector,
     ParseError,
+    PreconditionError,
     RankTooHigh,
     ShapeError,
     SingleCluster,

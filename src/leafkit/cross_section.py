@@ -14,10 +14,11 @@ Interpolation polynomials e_i with e_i(lambda_j) = delta_ij express the
 projections as e_i(T) and give a computable neighborhood criterion
 max_i ||e_i(R) - e_i(T)|| < 1 for the construction to apply at R.
 
-The cross-section, delta, the off-diagonal bound and the on-orbit
-neighborhood criterion are computed on the orthonormal bases B_i
-(n x m_i) of the eigenspaces, E_i = B_i B_i*.  The n x n projections are
-still built, for SpectralData and the off-orbit neighborhood criterion.
+Everything is computed from the reference's eigenframe: the
+cross-section, delta, the off-diagonal bound and the on-orbit
+neighborhood criterion work on the orthonormal bases B_i (n x m_i) of
+the eigenspaces, E_i = B_i B_i*.  Only the off-orbit neighborhood
+criterion forms the n x n projections, when it runs.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from numpy.polynomial import Polynomial
 from .errors import CornerSingular, NotCommuting, SingleCluster
 from .opcore import (
     SpectralData,
-    clustered_eigh,
-    default_cluster_tol,
     defect_exceeds,
     require_hermitian,
     require_same_size,
@@ -46,13 +45,12 @@ CORNER_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ReferenceOperator:
-    """Hermitian reference with clustered spectral data and orthonormal
-    bases of the eigenspaces; interp_scalar evaluates the Lagrange
-    interpolation polynomials of its distinct eigenvalues."""
+    """Hermitian reference with its clustered eigenframe; interp_scalar
+    evaluates the Lagrange interpolation polynomials of its distinct
+    eigenvalues."""
 
     T: np.ndarray = field(repr=False)
     spectral: SpectralData
-    block_bases: list[np.ndarray] = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -92,19 +90,11 @@ class CrossSectionResult:
     residual: float
 
 
-def build_reference(t, cluster_tol: float | None = None) -> ReferenceOperator:
-    """Clustered spectral data and eigenspace bases of a Hermitian
-    reference; e_i(T) reproduces the projection E_i."""
+def build_reference(t) -> ReferenceOperator:
+    """Clustered eigenframe of a Hermitian reference; e_i(T) reproduces
+    the projection E_i."""
     tm = require_hermitian(t, name="T")
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(tm)
-    w, v, groups = clustered_eigh(tm, cluster_tol)
-    reps = np.array([w[g].mean() for g in groups])
-    mults = np.array([len(g) for g in groups], dtype=int)
-    bases = [np.ascontiguousarray(v[:, g]) for g in groups]
-    projections = [b @ b.conj().T for b in bases]
-    spectral = SpectralData(reps, mults, projections, float(cluster_tol))
-    return ReferenceOperator(T=tm, spectral=spectral, block_bases=bases)
+    return ReferenceOperator(T=tm, spectral=SpectralData.from_hermitian(tm))
 
 
 @dataclass(frozen=True)
@@ -133,7 +123,7 @@ def neighborhood_check(ref: ReferenceOperator, r) -> NeighborhoodCheck:
     near = np.abs(w[None, :] - ref.eigenvalues[:, None]) <= ref.spectral.cluster_tol
     if np.all(near.any(axis=0)):
         dev = 0.0
-        for b, at_node in zip(ref.block_bases, near):
+        for b, at_node in zip(ref.spectral.bases, near):
             ui = u[:, at_node]
             if ui.shape[1] != b.shape[1]:
                 dev = max(dev, 1.0)
@@ -152,29 +142,33 @@ def delta_map(ref: ReferenceOperator, v) -> np.ndarray:
     spectral blocks of the reference."""
     vm = require_unitary(v, name="V")
     require_same_size(ref.T, vm)
-    out = np.zeros_like(vm)
-    for b in ref.block_bases:
-        out += b @ (b.conj().T @ vm @ b) @ b.conj().T
+    return _block_diagonal(ref.spectral, [b.conj().T @ vm @ b for b in ref.spectral.bases])
+
+
+def _block_diagonal(sd: SpectralData, cores: list[np.ndarray]) -> np.ndarray:
+    """sum_i B_i C_i B_i* for m_i x m_i cores C_i."""
+    out = np.zeros((sd.size, sd.size), dtype=np.complex128)
+    for b, c in zip(sd.bases, cores):
+        out += b @ c @ b.conj().T
     return out
 
 
-def _block_polars(ref: ReferenceOperator, vm: np.ndarray, corner_tol: float):
-    """Per-block polar factors of the compressions, plus the smallest
-    corner singular value; raises CornerSingular outside the neighborhood."""
-    factors = []
+def _psi(ref: ReferenceOperator, vm: np.ndarray, corner_tol: float = CORNER_TOL):
+    """psi(V) from the polar factors X_i of the corners B_i* V B_i, with
+    the corners and the smallest corner singular value; raises
+    CornerSingular outside the neighborhood.  V is not validated."""
+    corners = [b.conj().T @ vm @ b for b in ref.spectral.bases]
+    unitary_parts = []
     min_sv = np.inf
-    for b in ref.block_bases:
-        m = b.conj().T @ vm @ b
+    for m in corners:
         u, s, wh = np.linalg.svd(m)
         min_sv = min(min_sv, float(s[-1]))
         if s[-1] <= corner_tol:
             raise CornerSingular(
                 f"spectral-block compression has smallest singular value {s[-1]:.3e}"
             )
-        x = u @ wh
-        q = wh.conj().T @ np.diag(s) @ wh
-        factors.append((b, x, q))
-    return factors, min_sv
+        unitary_parts.append((u @ wh).conj().T)
+    return _block_diagonal(ref.spectral, unitary_parts), corners, min_sv
 
 
 def psi_map(ref: ReferenceOperator, v, corner_tol: float = CORNER_TOL) -> np.ndarray:
@@ -184,11 +178,7 @@ def psi_map(ref: ReferenceOperator, v, corner_tol: float = CORNER_TOL) -> np.nda
     delta(V)."""
     vm = require_unitary(v, name="V")
     require_same_size(ref.T, vm)
-    factors, _ = _block_polars(ref, vm, corner_tol)
-    psi = np.zeros_like(vm)
-    for b, x, _ in factors:
-        psi += b @ x.conj().T @ b.conj().T
-    return psi
+    return _psi(ref, vm, corner_tol)[0]
 
 
 def cross_section_phi(ref: ReferenceOperator, v, corner_tol: float = CORNER_TOL) -> CrossSectionResult:
@@ -199,12 +189,8 @@ def cross_section_phi(ref: ReferenceOperator, v, corner_tol: float = CORNER_TOL)
     """
     vm = require_unitary(v, name="V")
     require_same_size(ref.T, vm)
-    factors, min_sv = _block_polars(ref, vm, corner_tol)
-    psi = np.zeros_like(vm)
-    delta = np.zeros_like(vm)
-    for b, x, q in factors:
-        psi += b @ x.conj().T @ b.conj().T
-        delta += b @ (x @ q) @ b.conj().T
+    psi, corners, min_sv = _psi(ref, vm, corner_tol)
+    delta = _block_diagonal(ref.spectral, corners)
     phi = psi @ vm
     residual = spectral_norm(phi.conj().T @ ref.T @ phi - vm.conj().T @ ref.T @ vm)
     return CrossSectionResult(
@@ -223,8 +209,9 @@ def well_definedness_check(ref: ReferenceOperator, v, g) -> float:
     if defect_exceeds(comm, 1e-10, ref.T):
         residual = spectral_norm(comm)
         raise NotCommuting(f"G does not commute with the reference (residual {residual:.3e})")
-    phi_v = cross_section_phi(ref, vm).phi
-    phi_gv = cross_section_phi(ref, gm @ vm).phi
+    phi_v = _psi(ref, vm)[0] @ vm
+    gv = gm @ vm
+    phi_gv = _psi(ref, gv)[0] @ gv
     return spectral_norm(phi_gv - phi_v)
 
 
@@ -249,7 +236,7 @@ def continuity_modulus(
     for v in v_sequence:
         vm = require_unitary(v, name="V")
         op_dist = spectral_norm(vm.conj().T @ ref.T @ vm - ref.T)
-        phi = cross_section_phi(ref, vm).phi
+        phi = _psi(ref, vm)[0] @ vm
         records.append(
             ContinuityRecord(op_dist=op_dist, phi_dist=op_norm(phi_norm, phi - eye))
         )
@@ -274,10 +261,9 @@ def offdiag_bound_check(ref: ReferenceOperator, phi_norm: NormingFunctionSpec, w
     if len(lams) < 2:
         raise SingleCluster("the reference has a single eigenvalue cluster")
     comm_norm = op_norm(phi_norm, ref.T @ wm - wm @ ref.T)
-    frame = np.hstack(ref.block_bases)
+    frame = ref.spectral.frame
     cores = frame.conj().T @ wm @ frame
-    edges = np.cumsum([0, *ref.spectral.multiplicities])
-    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    blocks = ref.spectral.blocks
     worst = -np.inf
     for i in range(len(lams)):
         for j in range(len(lams)):
@@ -292,21 +278,13 @@ def minimal_polynomial(t, tol: float | None = None) -> Polynomial:
     """Monic polynomial whose roots are the distinct eigenvalue clusters
     of a Hermitian matrix; it annihilates the matrix up to
     tol (1 + ||T||)^degree."""
-    tm = require_hermitian(t, name="T")
-    if tol is None:
-        tol = default_cluster_tol(tm)
-    w, _, groups = clustered_eigh(tm, tol)
-    reps = [w[g].mean() for g in groups]
-    return Polynomial.fromroots(reps) if reps else Polynomial([0.0, 1.0])
+    reps = SpectralData.from_hermitian(require_hermitian(t, name="T"), tol).eigenvalues
+    return Polynomial.fromroots(reps) if len(reps) else Polynomial([0.0, 1.0])
 
 
 def generated_algebra_dimension(t, tol: float | None = None) -> int:
     """Complex dimension of the (non-unital) *-algebra generated by a
     Hermitian matrix: the number of distinct nonzero eigenvalue clusters,
     i.e. of independent nonzero spectral projections."""
-    tm = require_hermitian(t, name="T")
-    if tol is None:
-        tol = default_cluster_tol(tm)
-    w, _, groups = clustered_eigh(tm, tol)
-    reps = np.array([w[g].mean() for g in groups])
-    return int(np.count_nonzero(np.abs(reps) > max(tol, 0.0)))
+    sd = SpectralData.from_hermitian(require_hermitian(t, name="T"), tol)
+    return int(np.count_nonzero(np.abs(sd.eigenvalues) > max(sd.cluster_tol, 0.0)))

@@ -10,53 +10,58 @@ class LeafkitError(Exception):
     """Base class for all leafkit errors."""
 
 
+class PreconditionError(LeafkitError):
+    """Base class for inputs outside a numerical contract; the CLI exits 3
+    on these."""
+
+
 class ShapeError(LeafkitError):
     """Matrix has the wrong shape, or shapes are inconsistent."""
 
 
-class SizeMismatch(LeafkitError):
+class SizeMismatch(PreconditionError):
     """Two operands do not have compatible dimensions."""
 
 
-class NotHermitian(LeafkitError):
+class NotHermitian(PreconditionError):
     """Symmetry residual of a would-be Hermitian matrix exceeds tolerance."""
 
 
-class NotSkewHermitian(LeafkitError):
+class NotSkewHermitian(PreconditionError):
     """Anti-symmetry residual of a would-be skew-Hermitian matrix exceeds tolerance."""
 
 
-class NotPositive(LeafkitError):
+class NotPositive(PreconditionError):
     """Matrix required to be positive semidefinite has a negative eigenvalue."""
 
 
-class NotUnitary(LeafkitError):
+class NotUnitary(PreconditionError):
     """Unitarity residual exceeds tolerance."""
 
 
-class NotUnitVector(LeafkitError):
+class NotUnitVector(PreconditionError):
     """Vector required to have unit norm does not."""
 
 
-class NotCommuting(LeafkitError):
+class NotCommuting(PreconditionError):
     """Operator required to commute with the reference does not."""
 
 
-class ClusterAmbiguity(LeafkitError):
+class ClusterAmbiguity(PreconditionError):
     """Eigenvalue gaps straddle the clustering tolerance; grouping is ill-posed."""
 
 
-class NearSingular(LeafkitError):
+class NearSingular(PreconditionError):
     """Smallest singular value is below the invertibility threshold."""
 
 
-class CornerSingular(LeafkitError):
+class CornerSingular(PreconditionError):
     """A spectral-block compression is too close to singular for the
     block-wise polar construction (the input is outside the cross-section
     neighborhood)."""
 
 
-class SpectrumOutOfRange(LeafkitError):
+class SpectrumOutOfRange(PreconditionError):
     """Eigenvalues fall outside the interval the scalar function requires."""
 
 
@@ -64,11 +69,11 @@ class UnsupportedKind(LeafkitError):
     """The requested operation is not available for this norming-function kind."""
 
 
-class RankTooHigh(LeafkitError):
+class RankTooHigh(PreconditionError):
     """Matrix rank exceeds the bound the inequality is stated for."""
 
 
-class SingleCluster(LeafkitError):
+class SingleCluster(PreconditionError):
     """The reference operator has only one eigenvalue cluster, so there are
     no off-diagonal spectral gaps to test."""
 

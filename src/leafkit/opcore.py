@@ -3,7 +3,8 @@
 Hermitian spectral decompositions with eigenvalue clustering, singular
 values, polar decomposition, the exponential of skew-Hermitian matrices,
 and functional calculus on positive contractions.  Everything else in the
-package is built on these five operations.
+package is built on these five operations.  The clustered eigenframe,
+SpectralData, is the one spectral object the other modules read.
 
 All functions are pure: inputs are never mutated, outputs are fresh
 arrays, and there is no hidden state.
@@ -98,6 +99,19 @@ def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndar
     return 0.5 * (m + m.conj().T)
 
 
+def hermitian_companion(t, name: str = "matrix") -> np.ndarray:
+    """The Hermitian H with T = H for Hermitian T, or T = iH for
+    skew-Hermitian T.  Hermitian is tested first, so a matrix within
+    tolerance of both classes is read as Hermitian."""
+    m = require_square(t, name)
+    if is_hermitian(m):
+        return 0.5 * (m + m.conj().T)
+    if is_skew_hermitian(m):
+        h = -1j * m
+        return 0.5 * (h + h.conj().T)
+    raise NotHermitian("expected a Hermitian or skew-Hermitian matrix")
+
+
 def require_skew_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
     m = require_square(a, name)
     if not is_skew_hermitian(m, tol):
@@ -148,32 +162,77 @@ def cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
-def clustered_eigh(a: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """eigh plus clustering: eigenvalues ascending, eigenvector columns,
-    and the list of index groups (one per eigenvalue cluster)."""
-    w, v = np.linalg.eigh(a)
-    return w, v, cluster_indices(w, cluster_tol)
-
-
 @dataclass(frozen=True)
 class SpectralData:
-    """Spectral decomposition of a Hermitian matrix, one entry per
-    eigenvalue cluster, eigenvalues ascending."""
+    """Clustered eigenframe of a Hermitian matrix.
 
+    frame holds orthonormal eigenvector columns in the order of the raw
+    ascending eigenvalues in values.  Eigenvalues within cluster_tol of
+    their neighbours form one cluster, a contiguous column range of the
+    frame; eigenvalues holds the mean of each cluster and multiplicities
+    its size.  Everything else is derived from these on access.
+    """
+
+    frame: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
-    projections: list[np.ndarray] = field(repr=False)
     cluster_tol: float = 0.0
+
+    @classmethod
+    def from_hermitian(cls, h: np.ndarray, cluster_tol: float | None = None) -> SpectralData:
+        """Eigenframe of a matrix the caller has already validated and
+        symmetrized.  cluster_tol defaults to 1e-8 times the spectral norm."""
+        if cluster_tol is None:
+            cluster_tol = default_cluster_tol(h)
+        w, v = np.linalg.eigh(h)
+        groups = cluster_indices(w, cluster_tol)
+        return cls(
+            frame=v,
+            values=w,
+            eigenvalues=np.array([w[g].mean() for g in groups]),
+            multiplicities=np.array([len(g) for g in groups], dtype=int),
+            cluster_tol=float(cluster_tol),
+        )
 
     @property
     def size(self) -> int:
         return int(self.multiplicities.sum())
 
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.size, self.size), dtype=np.complex128)
-        for lam, e in zip(self.eigenvalues, self.projections):
-            out += lam * e
+    @property
+    def blocks(self) -> list[slice]:
+        """Column range of each cluster in the frame."""
+        edges = np.cumsum([0, *self.multiplicities])
+        return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+
+    @property
+    def bases(self) -> list[np.ndarray]:
+        """Orthonormal basis B_i (n x m_i) of each eigenspace: the frame
+        columns of cluster i, so that E_i = B_i B_i*."""
+        return [self.frame[:, b] for b in self.blocks]
+
+    @property
+    def projections(self) -> list[np.ndarray]:
+        """The n x n spectral projections E_i, built on each access."""
+        return [b @ b.conj().T for b in self.bases]
+
+    def mask(self) -> np.ndarray:
+        """Boolean n x n mask of the diagonal cluster blocks in frame
+        coordinates."""
+        out = np.zeros((self.size, self.size), dtype=bool)
+        for b in self.blocks:
+            out[b, b] = True
         return out
+
+    def pinch(self, s: np.ndarray) -> np.ndarray:
+        """Block-diagonal compression sum_i E_i S E_i of an n x n matrix."""
+        v = self.frame
+        return v @ ((v.conj().T @ s @ v) * self.mask()) @ v.conj().T
+
+    def reconstruct(self) -> np.ndarray:
+        """sum_i lambda_i E_i with the cluster means lambda_i."""
+        v = self.frame
+        return (v * np.repeat(self.eigenvalues, self.multiplicities)) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -196,18 +255,9 @@ def spectral_decompose(a, cluster_tol: float | None = None) -> SpectralData:
     members.  cluster_tol defaults to 1e-8 times the spectral norm.
     """
     m = require_hermitian(a)
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(m)
-    if cluster_tol < 0:
+    if cluster_tol is not None and cluster_tol < 0:
         raise ValueError("cluster_tol must be nonnegative")
-    w, v, groups = clustered_eigh(m, cluster_tol)
-    eigenvalues = np.array([w[g].mean() for g in groups])
-    multiplicities = np.array([len(g) for g in groups], dtype=int)
-    projections = []
-    for g in groups:
-        cols = v[:, g]
-        projections.append(cols @ cols.conj().T)
-    return SpectralData(eigenvalues, multiplicities, projections, float(cluster_tol))
+    return SpectralData.from_hermitian(m, cluster_tol)
 
 
 def singular_values(a) -> np.ndarray:

@@ -13,13 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotHermitian
 from .opcore import (
+    SpectralData,
     as_matrix,
-    clustered_eigh,
-    default_cluster_tol,
-    is_hermitian,
-    is_skew_hermitian,
+    hermitian_companion,
     matrix_exp,
     random_skew_hermitian,
     require_hermitian,
@@ -31,24 +28,14 @@ from .opcore import (
 SPLIT_SEED = 1618
 
 
-def normal_eigensystem(t, cluster_tol: float | None = None) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Clustered eigensystem of a Hermitian or skew-Hermitian matrix.
+def normal_frame(t, cluster_tol: float | None = None) -> SpectralData:
+    """Clustered eigenframe of a Hermitian or skew-Hermitian matrix.
 
     Skew-Hermitian input is rotated to its Hermitian companion -iT, so the
-    returned eigenvalues are the real numbers theta with spectrum
-    {i theta} in the skew case and {theta} in the Hermitian case.
+    eigenvalues are the real numbers theta with spectrum {i theta} in the
+    skew case and {theta} in the Hermitian case.
     """
-    m = require_square(t)
-    if is_hermitian(m):
-        h = 0.5 * (m + m.conj().T)
-    elif is_skew_hermitian(m):
-        h = -1j * m
-        h = 0.5 * (h + h.conj().T)
-    else:
-        raise NotHermitian("expected a Hermitian or skew-Hermitian matrix")
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(h)
-    return clustered_eigh(h, cluster_tol)
+    return SpectralData.from_hermitian(hermitian_companion(t), cluster_tol)
 
 
 def characteristic_tangent(rho, a) -> np.ndarray:
@@ -72,22 +59,28 @@ class LeafSignature:
 
 
 def leaf_signature(rho, tol: float) -> LeafSignature:
-    w, _, groups = normal_eigensystem(rho, tol)
+    sd = normal_frame(rho, tol)
     return LeafSignature(
-        eigenvalues=tuple(float(w[g].mean()) for g in groups),
-        multiplicities=tuple(len(g) for g in groups),
+        eigenvalues=tuple(float(lam) for lam in sd.eigenvalues),
+        multiplicities=tuple(int(m) for m in sd.multiplicities),
         tol=float(tol),
     )
+
+
+def eigenvalue_deviation(rho1, rho2) -> float:
+    """Largest distance between the sorted eigenvalues of two Hermitian
+    or skew-Hermitian matrices; inf when their sizes differ."""
+    w1 = normal_frame(rho1, 0.0).values
+    w2 = normal_frame(rho2, 0.0).values
+    if len(w1) != len(w2):
+        return float("inf")
+    return float(np.max(np.abs(w1 - w2), initial=0.0))
 
 
 def same_leaf(rho1, rho2, tol: float) -> bool:
     """True iff the two matrices are unitarily equivalent up to tol:
     sorted eigenvalues agree pairwise within tol."""
-    w1, _, _ = normal_eigensystem(rho1, 0.0)
-    w2, _, _ = normal_eigensystem(rho2, 0.0)
-    if len(w1) != len(w2):
-        return False
-    return bool(np.all(np.abs(w1 - w2) <= tol))
+    return bool(eigenvalue_deviation(rho1, rho2) <= tol)
 
 
 def orbit_sample(t, count: int, scale: float, seed: int) -> list[np.ndarray]:
@@ -105,7 +98,7 @@ def orbit_sample(t, count: int, scale: float, seed: int) -> list[np.ndarray]:
     return out
 
 
-def pinching(t, s, cluster_tol: float | None = None) -> np.ndarray:
+def pinching(t, s) -> np.ndarray:
     """Block-diagonal compression sum_i E_i S E_i along the spectral
     projections of T.
 
@@ -118,12 +111,7 @@ def pinching(t, s, cluster_tol: float | None = None) -> np.ndarray:
     tm = require_square(t, "T")
     sm = as_matrix(s, "S")
     require_same_size(tm, sm)
-    _, v, groups = normal_eigensystem(tm, cluster_tol)
-    w_in = v.conj().T @ sm @ v
-    mask = np.zeros(tm.shape, dtype=bool)
-    for g in groups:
-        mask[np.ix_(g, g)] = True
-    return v @ (w_in * mask) @ v.conj().T
+    return normal_frame(tm).pinch(sm)
 
 
 def _block_skew_units(cols_a: np.ndarray, cols_b: np.ndarray, same_block: bool) -> list[np.ndarray]:
@@ -165,7 +153,7 @@ def _real_coords(mats: list[np.ndarray]) -> np.ndarray:
     return np.array(rows)
 
 
-def kernel_range_split(t, cluster_tol: float | None = None) -> KernelRangeSplit:
+def kernel_range_split(t) -> KernelRangeSplit:
     """Split the real Lie algebra of skew-Hermitian matrices along ad T.
 
     The reported residual is the error of reconstructing a random
@@ -173,13 +161,13 @@ def kernel_range_split(t, cluster_tol: float | None = None) -> KernelRangeSplit:
     the two real dimensions add up to n^2.
     """
     tm = require_square(t)
-    _, v, groups = normal_eigensystem(tm, cluster_tol)
+    bases = normal_frame(tm).bases
     kernel: list[np.ndarray] = []
     rangeb: list[np.ndarray] = []
-    for gi, g in enumerate(groups):
-        kernel.extend(_block_skew_units(v[:, g], v[:, g], True))
-        for h in groups[gi + 1 :]:
-            rangeb.extend(_block_skew_units(v[:, g], v[:, h], False))
+    for gi, b in enumerate(bases):
+        kernel.extend(_block_skew_units(b, b, True))
+        for c in bases[gi + 1 :]:
+            rangeb.extend(_block_skew_units(b, c, False))
 
     rng = np.random.default_rng(SPLIT_SEED)
     s = random_skew_hermitian(tm.shape[0], rng)
@@ -195,11 +183,10 @@ def kernel_range_split(t, cluster_tol: float | None = None) -> KernelRangeSplit:
     )
 
 
-def isotropy_dimension(t, cluster_tol: float | None = None) -> int:
+def isotropy_dimension(t) -> int:
     """Real dimension of Ker(ad T) inside the skew-Hermitian matrices:
     the sum of the squared cluster multiplicities."""
-    _, _, groups = normal_eigensystem(t, cluster_tol)
-    return int(sum(len(g) ** 2 for g in groups))
+    return int(np.sum(normal_frame(t).multiplicities ** 2))
 
 
 def skew_hermitian_basis(n: int) -> list[np.ndarray]:

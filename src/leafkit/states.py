@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import NotHermitian, NotPositive
 from .opcore import (
+    SpectralData,
     as_matrix,
-    clustered_eigh,
-    default_cluster_tol,
     hermitian_defect,
     is_hermitian,
     require_unitary,
@@ -103,7 +102,7 @@ def is_faithful(phi: DensityFunctional, tol: float) -> bool:
     return bool(len(w) and w[0] > tol)
 
 
-def centralizer_basis(phi: DensityFunctional, cluster_tol: float | None = None) -> list[np.ndarray]:
+def centralizer_basis(phi: DensityFunctional) -> list[np.ndarray]:
     """Basis of the commutant {a : a rho = rho a}.
 
     In the eigenbasis of rho the commutant consists of the block-diagonal
@@ -111,15 +110,11 @@ def centralizer_basis(phi: DensityFunctional, cluster_tol: float | None = None) 
     units within each block, mapped back; its complex dimension is the sum
     of the squared multiplicities.
     """
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(phi.rho)
-    _, v, groups = clustered_eigh(phi.rho, cluster_tol)
     basis = []
-    for g in groups:
-        cols = v[:, g]
-        for a in range(len(g)):
-            for b in range(len(g)):
-                basis.append(np.outer(cols[:, a], cols[:, b].conj()))
+    for cols in SpectralData.from_hermitian(phi.rho).bases:
+        for a in cols.T:
+            for b in cols.T:
+                basis.append(np.outer(a, b.conj()))
     return basis
 
 

@@ -17,17 +17,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSkewHermitian, NotUnitVector, SizeMismatch
+from .errors import NotHermitian, NotSkewHermitian, NotUnitVector, SizeMismatch
 from .opcore import (
+    SpectralData,
     as_matrix,
-    is_hermitian,
+    hermitian_companion,
     is_skew_hermitian,
     random_skew_hermitian,
     require_same_size,
     require_square,
     spectral_norm,
 )
-from .orbits import isotropy_dimension, normal_eigensystem, pinching, skew_hermitian_basis
+from .orbits import normal_frame, skew_hermitian_basis
 
 RADICAL_REL_TOL = 1e-9
 
@@ -35,12 +36,10 @@ RADICAL_REL_TOL = 1e-9
 def _as_skew(t, name: str = "T") -> np.ndarray:
     """Return the skew-Hermitian representative: skew input unchanged,
     Hermitian input multiplied by i."""
-    m = require_square(t, name)
-    if is_skew_hermitian(m):
-        return 0.5 * (m - m.conj().T)
-    if is_hermitian(m):
-        return 0.5j * (m + m.conj().T)
-    raise NotSkewHermitian(f"{name}: expected a skew-Hermitian (or Hermitian) matrix")
+    try:
+        return 1j * hermitian_companion(t, name)
+    except NotHermitian:
+        raise NotSkewHermitian(f"{name}: expected a skew-Hermitian (or Hermitian) matrix") from None
 
 
 def omega_complexified(t, z, w) -> complex:
@@ -98,12 +97,13 @@ def radical_check(t, sample_count: int = 100, seed: int = 0) -> RadicalCheck:
     # must count as all-radical: floor the cutoff at the scale of omega_T
     cutoff = RADICAL_REL_TOL * max(top, 1.0, spectral_norm(tm))
     radical_dim = int(np.count_nonzero(sv <= cutoff))
-    iso = isotropy_dimension(tm)
+    sd = normal_frame(tm)
+    iso = int(np.sum(sd.multiplicities ** 2))
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(sample_count):
-        k = pinching(tm, random_skew_hermitian(n, rng))
+        k = sd.pinch(random_skew_hermitian(n, rng))
         s = random_skew_hermitian(n, rng)
         worst = max(worst, abs(omega_complexified(tm, k, s)))
     return RadicalCheck(
@@ -119,11 +119,11 @@ class PolarizationMask:
     """Half-space polarization attached to T.
 
     Clusters are indexed after sorting decreasingly by theta (the
-    eigenvalues of T are i theta); the mask holds the ordered cluster
-    pairs (i, j) whose blocks belong to the polarization, i.e. all pairs
-    with theta_i >= theta_j.  basis spans the polarization by matrix
-    units in the sorted eigenframe; frame holds the corresponding
-    orthonormal columns.
+    eigenvalues of T are i theta): sorted cluster i is cluster
+    block_order[i] of the ascending eigenframe spectral.  The mask holds
+    the sorted cluster pairs (i, j) whose blocks belong to the
+    polarization, i.e. all pairs with theta_i >= theta_j.  basis spans
+    the polarization by matrix units of the eigenframe.
     """
 
     block_order: tuple[int, ...]
@@ -131,8 +131,7 @@ class PolarizationMask:
     basis: list[np.ndarray] = field(repr=False)
     thetas: tuple[float, ...] = ()
     multiplicities: tuple[int, ...] = ()
-    frame: np.ndarray | None = field(default=None, repr=False)
-    blocks: tuple[tuple[int, ...], ...] = ()
+    spectral: SpectralData | None = field(default=None, repr=False)
 
     @property
     def complex_dim(self) -> int:
@@ -140,16 +139,17 @@ class PolarizationMask:
         return int(sum(m[i] * m[j] for i, j in self.mask))
 
     def support(self) -> np.ndarray:
-        """Boolean n x n entry mask of the polarization in frame
-        coordinates."""
-        n = self.frame.shape[0]
+        """Boolean n x n entry mask of the polarization in the coordinates
+        of the eigenframe."""
+        n = self.spectral.size
+        blocks = [self.spectral.blocks[k] for k in self.block_order]
         sup = np.zeros((n, n), dtype=bool)
         for i, j in self.mask:
-            sup[np.ix_(self.blocks[i], self.blocks[j])] = True
+            sup[blocks[i], blocks[j]] = True
         return sup
 
 
-def polarization(t, cluster_tol: float | None = None) -> PolarizationMask:
+def polarization(t) -> PolarizationMask:
     """Construct the positivity-oriented polarization for a reference T.
 
     The orientation (which of the two half-space choices is taken) is the
@@ -157,38 +157,26 @@ def polarization(t, cluster_tol: float | None = None) -> PolarizationMask:
     row-cluster theta >= column-cluster theta.  A Hermitian reference is
     read as its skew partner iT.
     """
-    tm = _as_skew(t)
-    w, v, groups = normal_eigensystem(tm, cluster_tol)
-    reps = np.array([w[g].mean() for g in groups])
-    order = tuple(int(i) for i in np.argsort(-reps, kind="stable"))
-    thetas = tuple(float(reps[i]) for i in order)
-    mults = tuple(len(groups[i]) for i in order)
+    return _polarization_mask(normal_frame(_as_skew(t)))
 
-    cols: list[np.ndarray] = []
-    blocks: list[tuple[int, ...]] = []
-    offset = 0
-    for i in order:
-        g = groups[i]
-        cols.append(v[:, g])
-        blocks.append(tuple(range(offset, offset + len(g))))
-        offset += len(g)
-    frame = np.hstack(cols) if cols else np.zeros((0, 0), dtype=np.complex128)
 
+def _polarization_mask(sd: SpectralData) -> PolarizationMask:
+    order = tuple(int(i) for i in np.argsort(-sd.eigenvalues, kind="stable"))
+    bases = sd.bases
     k = len(order)
     mask = tuple((i, j) for i in range(k) for j in range(k) if i <= j)
     basis = []
     for i, j in mask:
-        for a in blocks[i]:
-            for b in blocks[j]:
-                basis.append(np.outer(frame[:, a], frame[:, b].conj()))
+        for a in bases[order[i]].T:
+            for b in bases[order[j]].T:
+                basis.append(np.outer(a, b.conj()))
     return PolarizationMask(
         block_order=order,
         mask=mask,
         basis=basis,
-        thetas=thetas,
-        multiplicities=mults,
-        frame=frame,
-        blocks=tuple(blocks),
+        thetas=tuple(float(sd.eigenvalues[i]) for i in order),
+        multiplicities=tuple(int(sd.multiplicities[i]) for i in order),
+        spectral=sd,
     )
 
 
@@ -220,15 +208,16 @@ def polarization_properties(t, mask: PolarizationMask | None = None,
     """
     tm = _as_skew(t)
     n = tm.shape[0]
+    sd = normal_frame(tm)
     if mask is None:
-        mask = polarization(tm)
-    frame = mask.frame
+        mask = _polarization_mask(sd)
+    frame = mask.spectral.frame
     sup = mask.support()
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(sample_count):
-        k = pinching(tm, random_skew_hermitian(n, rng))
+        k = sd.pinch(random_skew_hermitian(n, rng))
         coeff = rng.standard_normal(len(mask.basis)) + 1j * rng.standard_normal(len(mask.basis))
         z = sum(c * b for c, b in zip(coeff, mask.basis))
         z /= np.linalg.norm(z)

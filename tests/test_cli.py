@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from leafkit import cli, orbits
 from leafkit.cli import run_command
-from leafkit.errors import ParseError
+from leafkit.errors import ParseError, PreconditionError, ShapeError
 from leafkit.matrixio import emit_matrix, parse_matrix, parse_matrix_text, write_matrix
 from leafkit.opcore import matrix_exp
 
@@ -160,6 +161,19 @@ class TestSubcommands:
         code, report = run(capsys, "leaf-compare", t, sample, "--tol", "1e-8")
         assert code == 0 and report["results"]["same_leaf"] is True
 
+    def test_leaf_compare_verdict_at_the_deviation(self, capsys, workdir):
+        _, put = workdir
+        a = put("a.json", np.diag([1.0, 2.0, 3.0]))
+        b = put("b.json", np.diag([1.0, 2.0 + 3e-7, 3.0 - 1e-7]))
+        _, report = run(capsys, "leaf-compare", a, b)
+        dev = report["results"]["max_eigenvalue_deviation"]
+        assert dev > 0
+        for tol, same in ((dev, True), (np.nextafter(dev, 0.0), False)):
+            code, report = run(capsys, "leaf-compare", a, b, "--tol", repr(float(tol)))
+            assert report["results"]["same_leaf"] is same
+            assert orbits.same_leaf(parse_matrix(a), parse_matrix(b), tol) is same
+            assert code == (0 if same else 1)
+
     def test_cross_section_identity(self, capsys, workdir):
         _, put = workdir
         t = put("t.json", np.diag([1.0, -1.0]))
@@ -226,6 +240,34 @@ class TestExitCodes:
         assert code == 3
         assert report["pass"] is False
         assert report["results"]["error"] == "CornerSingular"
+
+    @staticmethod
+    def _raise_from_handler(monkeypatch, kind):
+        def handler(args):
+            raise kind("input outside the contract")
+
+        monkeypatch.setattr(cli, "cmd_adjoint", handler)
+
+    def test_every_precondition_error_exits_3(self, capsys, monkeypatch):
+        kinds, todo = [], [PreconditionError]
+        while todo:
+            subs = todo.pop().__subclasses__()
+            kinds.extend(subs)
+            todo.extend(subs)
+        assert len(kinds) >= 13
+        for kind in kinds:
+            self._raise_from_handler(monkeypatch, kind)
+            code, report = run(capsys, "adjoint", "--phi", "sum")
+            assert code == 3, kind
+            assert report["pass"] is False
+            assert report["results"] == {"error": kind.__name__, "message": "input outside the contract"}
+
+    def test_parse_and_shape_errors_exit_2(self, capsys, monkeypatch):
+        for kind in (ParseError, ShapeError):
+            assert not issubclass(kind, PreconditionError)
+            self._raise_from_handler(monkeypatch, kind)
+            code, report = run(capsys, "adjoint", "--phi", "sum")
+            assert code == 2 and report is None
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,19 @@ class TestBuildReference:
         ref = build_reference(t)
         for i, e in enumerate(ref.spectral.projections):
             assert spectral_norm(ref.interp_on_hermitian(i, np.linalg.eigh(t)) - e) <= 1e-9
+
+    def test_peak_memory_many_clusters(self, rng):
+        # the reference keeps its n x n eigenframe, not p dense projections
+        # (64 MiB at this size)
+        t = hermitian_with_spectrum(np.repeat(np.arange(64.0), 4), rng)
+        tracemalloc.start()
+        try:
+            ref = build_reference(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ref.spectral.multiplicities.tolist() == [4] * 64
+        assert peak <= 8 * 2**20
 
 
 def spectrum_with_frame(values, mults, rng):

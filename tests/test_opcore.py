@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leafkit.errors import (
     ClusterAmbiguity,
@@ -24,8 +25,9 @@ from leafkit.opcore import (
     spectral_decompose,
     spectral_norm,
 )
+from leafkit.orbits import normal_frame
 
-from conftest import PHI_SET, random_hermitian, random_psd, random_skew, random_unitary
+from conftest import PHI_SET, random_hermitian, random_psd, random_skew, random_unitary, separated_values
 
 
 class TestSpectralDecompose:
@@ -67,6 +69,57 @@ class TestSpectralDecompose:
     def test_cluster_ambiguity(self):
         with pytest.raises(ClusterAmbiguity):
             spectral_decompose(np.diag([0.0, 1e-8]).astype(complex), cluster_tol=1e-8)
+
+
+@st.composite
+def clustered_hermitian(draw):
+    """(T, cluster values, multiplicities, per-cluster projections) for a
+    random Hermitian T with n <= 8 built from a known unitary, so the
+    projections are an oracle that does not come from an eigensolver."""
+    mults = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8).filter(lambda m: sum(m) <= 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = separated_values(rng, len(mults))
+    u = random_unitary(sum(mults), rng)
+    edges = np.cumsum([0, *mults])
+    projections = [u[:, a:b] @ u[:, a:b].conj().T for a, b in zip(edges[:-1], edges[1:])]
+    t = sum(lam * e for lam, e in zip(values, projections))
+    return 0.5 * (t + t.conj().T), values, mults, projections
+
+
+FRAME_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestSpectralFrame:
+    @FRAME_SETTINGS
+    @given(clustered_hermitian(), st.integers(0, 2**32 - 1))
+    def test_against_dense_cluster_oracles(self, case, seed):
+        t, values, mults, projections = case
+        n = t.shape[0]
+        sd = spectral_decompose(t)
+        np.testing.assert_allclose(sd.eigenvalues, values, atol=1e-10)
+        assert sd.multiplicities.tolist() == mults
+        assert len(sd.projections) == len(mults)
+        for e, oracle, b in zip(sd.projections, projections, sd.bases):
+            np.testing.assert_allclose(e, oracle, atol=1e-10)
+            np.testing.assert_allclose(b @ b.conj().T, oracle, atol=1e-10)
+            np.testing.assert_allclose(b.conj().T @ b, np.eye(b.shape[1]), atol=1e-10)
+        labels = np.repeat(np.arange(len(mults)), mults)
+        np.testing.assert_array_equal(sd.mask(), labels[:, None] == labels[None, :])
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        np.testing.assert_allclose(sd.pinch(s), sum(e @ s @ e for e in projections), atol=1e-9)
+        np.testing.assert_allclose(sd.reconstruct(), t, atol=1e-9)
+
+    @FRAME_SETTINGS
+    @given(clustered_hermitian())
+    def test_skew_input_has_the_frame_of_its_hermitian_companion(self, case):
+        t, values, mults, projections = case
+        skew = normal_frame(1j * t)
+        herm = normal_frame(t)
+        np.testing.assert_allclose(skew.eigenvalues, herm.eigenvalues, atol=1e-12)
+        assert skew.multiplicities.tolist() == herm.multiplicities.tolist() == mults
+        for a, b in zip(skew.projections, herm.projections):
+            np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 class TestSingularValues:
