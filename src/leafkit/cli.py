@@ -57,14 +57,10 @@ def _json_default(value):
     """json.dumps hook for the numpy and complex values in reports."""
     if isinstance(value, np.ndarray):
         return matrix_to_obj(value) if value.ndim == 2 else value.tolist()
-    if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.generic):  # np.bool_, np.integer, np.floating, ...
+        return value.item()
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 

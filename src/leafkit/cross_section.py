@@ -14,11 +14,10 @@ Interpolation polynomials e_i with e_i(lambda_j) = delta_ij express the
 projections as e_i(T) and give a computable neighborhood criterion
 max_i ||e_i(R) - e_i(T)|| < 1 for the construction to apply at R.
 
-Everything is computed from the reference's eigenframe: the
-cross-section, delta, the off-diagonal bound and the on-orbit
-neighborhood criterion work on the orthonormal bases B_i (n x m_i) of
-the eigenspaces, E_i = B_i B_i*.  Only the off-orbit neighborhood
-criterion forms the n x n projections, when it runs.
+The cross-section, delta, the off-diagonal bound and the on-orbit
+neighborhood criterion work on the orthonormal eigenspace bases B_i
+(n x m_i) of the reference's eigenframe, E_i = B_i B_i*.  Only the
+off-orbit neighborhood criterion forms the n x n projections.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ arrays, and there is no hidden state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -152,13 +153,12 @@ def cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
     start = 0
     for k in range(1, n + 1):
         if k == n or gaps[k - 1] > tol:
+            if values[k - 1] - values[start] > max(tol, 0.0):
+                raise ClusterAmbiguity(
+                    "chained eigenvalue merging produced a cluster wider than the tolerance"
+                )
             groups.append(np.arange(start, k))
             start = k
-    for g in groups:
-        if values[g[-1]] - values[g[0]] > max(tol, 0.0):
-            raise ClusterAmbiguity(
-                "chained eigenvalue merging produced a cluster wider than the tolerance"
-            )
     return groups
 
 
@@ -168,14 +168,13 @@ class SpectralData:
 
     frame holds orthonormal eigenvector columns in the order of the raw
     ascending eigenvalues in values.  Eigenvalues within cluster_tol of
-    their neighbours form one cluster, a contiguous column range of the
-    frame; eigenvalues holds the mean of each cluster and multiplicities
-    its size.  Everything else is derived from these on access.
+    their neighbours form one cluster: a contiguous column range of the
+    frame, multiplicities[i] wide.  Everything else, the cluster means in
+    eigenvalues included, is derived from these on access.
     """
 
     frame: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    eigenvalues: np.ndarray
     multiplicities: np.ndarray
     cluster_tol: float = 0.0
 
@@ -190,10 +189,14 @@ class SpectralData:
         return cls(
             frame=v,
             values=w,
-            eigenvalues=np.array([w[g].mean() for g in groups]),
             multiplicities=np.array([len(g) for g in groups], dtype=int),
             cluster_tol=float(cluster_tol),
         )
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The mean of each cluster, ascending."""
+        return np.array([self.values[b].mean() for b in self.blocks])
 
     @property
     def size(self) -> int:

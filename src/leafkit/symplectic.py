@@ -42,6 +42,10 @@ def _as_skew(t, name: str = "T") -> np.ndarray:
         raise NotSkewHermitian(f"{name}: expected a skew-Hermitian (or Hermitian) matrix") from None
 
 
+def _trace_form(tm: np.ndarray, z: np.ndarray, w: np.ndarray) -> complex:
+    return complex(np.trace(tm @ (z @ w - w @ z)))
+
+
 def omega_complexified(t, z, w) -> complex:
     """Complex-bilinear trace form Tr(T [Z, W]) on arbitrary complex
     matrices (the extension of the orbit 2-form to the complexification)."""
@@ -50,7 +54,7 @@ def omega_complexified(t, z, w) -> complex:
     wm = as_matrix(w, "W")
     require_same_size(tm, zm)
     require_same_size(tm, wm)
-    return complex(np.trace(tm @ (zm @ wm - wm @ zm)))
+    return _trace_form(tm, zm, wm)
 
 
 def omega(t, x, y) -> float:
@@ -105,7 +109,7 @@ def radical_check(t, sample_count: int = 100, seed: int = 0) -> RadicalCheck:
     for _ in range(sample_count):
         k = sd.pinch(random_skew_hermitian(n, rng))
         s = random_skew_hermitian(n, rng)
-        worst = max(worst, abs(omega_complexified(tm, k, s)))
+        worst = max(worst, abs(_trace_form(tm, k, s)))
     return RadicalCheck(
         radical_dim=radical_dim,
         isotropy_dim=iso,
@@ -157,10 +161,7 @@ def polarization(t) -> PolarizationMask:
     row-cluster theta >= column-cluster theta.  A Hermitian reference is
     read as its skew partner iT.
     """
-    return _polarization_mask(normal_frame(_as_skew(t)))
-
-
-def _polarization_mask(sd: SpectralData) -> PolarizationMask:
+    sd = normal_frame(_as_skew(t))
     order = tuple(int(i) for i in np.argsort(-sd.eigenvalues, kind="stable"))
     bases = sd.bases
     k = len(order)
@@ -201,17 +202,17 @@ def _span_rank(mats: list[np.ndarray], rel_tol: float = 1e-9) -> int:
 
 def polarization_properties(t, mask: PolarizationMask | None = None,
                             sample_count: int = 50, seed: int = 0) -> PolarizationProperties:
-    """Numerical verification of the four polarization properties:
-    stability under the isotropy subalgebra, intersection with the
-    adjoint span equal to the complexified isotropy, joint spanning of
-    the full matrix space, and complementedness (dimension bookkeeping).
+    """Numerical verification of the four polarization properties of
+    mask, the polarization of T (built when not given): stability under
+    the isotropy subalgebra, intersection with the adjoint span equal to
+    the complexified isotropy, joint spanning of the full matrix space,
+    and complementedness (dimension bookkeeping).
     """
     tm = _as_skew(t)
     n = tm.shape[0]
-    sd = normal_frame(tm)
     if mask is None:
-        mask = _polarization_mask(sd)
-    frame = mask.spectral.frame
+        mask = polarization(t)
+    sd = mask.spectral
     sup = mask.support()
 
     rng = np.random.default_rng(seed)
@@ -222,7 +223,7 @@ def polarization_properties(t, mask: PolarizationMask | None = None,
         z = sum(c * b for c, b in zip(coeff, mask.basis))
         z /= np.linalg.norm(z)
         c = k @ z - z @ k
-        c_frame = frame.conj().T @ c @ frame
+        c_frame = sd.frame.conj().T @ c @ sd.frame
         off = np.linalg.norm(c_frame[~sup])
         worst = max(worst, off / max(1.0, np.linalg.norm(c)))
 
@@ -258,7 +259,7 @@ def kaehler_check(t, sample_count: int = 200, seed: int = 0) -> KaehlerCheck:
     scale = max(1, ||T||).  A Hermitian reference is read as its skew
     partner iT."""
     tm = _as_skew(t)
-    mask = polarization(tm)
+    mask = polarization(t)
     rng = np.random.default_rng(seed)
 
     def draw() -> np.ndarray:
@@ -272,8 +273,8 @@ def kaehler_check(t, sample_count: int = 200, seed: int = 0) -> KaehlerCheck:
     for _ in range(sample_count):
         z1 = draw()
         z2 = draw()
-        iso_max = max(iso_max, abs(omega_complexified(tm, z1, z2)))
-        val = (-1j * omega_complexified(tm, z1, z1.conj().T)).real
+        iso_max = max(iso_max, abs(_trace_form(tm, z1, z2)))
+        val = (-1j * _trace_form(tm, z1, z1.conj().T)).real
         pos_min = min(pos_min, val)
     return KaehlerCheck(
         isotropy_max_abs=iso_max,

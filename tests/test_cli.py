@@ -309,6 +309,19 @@ class TestDeterminism:
 
 
 class TestMoreCLI:
+    def test_report_serializes_numpy_values(self):
+        report = cli.Report(
+            command="x",
+            results={"b": np.bool_(True), "i": np.int32(3), "f": np.float32(0.5), "c": np.complex64(1 - 2j),
+                     "z": 0.5 + 1j, "v": np.array([1.0, 2.0]), "m": np.eye(1)},
+        )
+        assert json.loads(cli.emit_report(report))["results"] == {
+            "b": True, "i": 3, "f": 0.5, "c": [1.0, -2.0], "z": [0.5, 1.0], "v": [1.0, 2.0],
+            "m": {"rows": 1, "cols": 1, "data": [[[1.0, 0.0]]]},
+        }
+        with pytest.raises(TypeError):
+            cli.emit_report(cli.Report(command="x", results={"o": object()}))
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         assert run_command(["norm", "--phi", "sum", str(tmp_path / "absent.json")]) == 2
         capsys.readouterr()
