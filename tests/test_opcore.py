@@ -113,7 +113,7 @@ class TestSpectralFrame:
     @FRAME_SETTINGS
     @given(clustered_hermitian())
     def test_skew_input_has_the_frame_of_its_hermitian_companion(self, case):
-        t, values, mults, projections = case
+        t, _, mults, _ = case
         skew = normal_frame(1j * t)
         herm = normal_frame(t)
         np.testing.assert_allclose(skew.eigenvalues, herm.eigenvalues, atol=1e-12)
