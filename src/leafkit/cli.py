@@ -12,7 +12,8 @@ the exit code to classify the outcome:
   too close to singular for the cross-section construction).
 
 The default RNG seed is 0, overridden by the LEAFKIT_SEED environment
-variable, overridden by --seed.
+variable, overridden by --seed; a seed that is not an integer >= 0 is a
+usage error.
 """
 
 from __future__ import annotations
@@ -99,16 +100,23 @@ def parse_phi_spec(spec: str) -> norming.NormingFunctionSpec:
     )
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("LEAFKIT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+def _ranged(kind, name: str, accept, rule: str):
+    """An argparse type: kind(text), kept only when accept(value) holds."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+        return value
+
+    parse.__name__ = name
+    return parse
+
+
+positive_int = _ranged(int, "positive_int", lambda v: v >= 1, "an integer >= 1")
+seed_int = _ranged(int, "seed_int", lambda v: v >= 0, "an integer >= 0")
+nonnegative_float = _ranged(float, "nonnegative_float", lambda v: v >= 0.0, "a number >= 0")
+power_alpha = _ranged(float, "power_alpha", lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 
 
 def _phi_set():
@@ -190,7 +198,7 @@ def cmd_support(args) -> Report:
     rho = parse_matrix(args.rho)
     phi = states.DensityFunctional(rho)
     p = states.support_projection(phi)
-    rng = np.random.default_rng(_resolve_seed(args))
+    rng = np.random.default_rng(args.seed)
     n = p.shape[0]
     worst = 0.0
     for _ in range(args.samples):
@@ -200,7 +208,7 @@ def cmd_support(args) -> Report:
     ok = worst <= 1e-8 * max(1.0, spectral_norm(rho)) and idem <= 1e-10
     return Report(
         command="support",
-        inputs={"rho": args.rho, "samples": args.samples, "seed": _resolve_seed(args)},
+        inputs={"rho": args.rho, "samples": args.samples, "seed": args.seed},
         results={
             "rank": int(round(np.trace(p).real)),
             "idempotency_residual": idem,
@@ -326,10 +334,10 @@ def cmd_omega(args) -> Report:
 
 def cmd_radical(args) -> Report:
     t = parse_matrix(args.T)
-    res = symplectic.radical_check(t, sample_count=args.samples, seed=_resolve_seed(args))
+    res = symplectic.radical_check(t, sample_count=args.samples, seed=args.seed)
     return Report(
         command="radical",
-        inputs={"T": args.T, "samples": args.samples, "seed": _resolve_seed(args)},
+        inputs={"T": args.T, "samples": args.samples, "seed": args.seed},
         results={
             "radical_dim": res.radical_dim,
             "isotropy_dim": res.isotropy_dim,
@@ -343,7 +351,7 @@ def cmd_radical(args) -> Report:
 def cmd_polarization(args) -> Report:
     t = parse_matrix(args.T)
     mask = symplectic.polarization(t)
-    props = symplectic.polarization_properties(t, mask, seed=_resolve_seed(args))
+    props = symplectic.polarization_properties(t, mask, seed=args.seed)
     ok = (
         props.commutation_residual <= 1e-9
         and props.dim_intersection == props.dim_intersection_expected
@@ -352,7 +360,7 @@ def cmd_polarization(args) -> Report:
     )
     return Report(
         command="polarization",
-        inputs={"T": args.T, "seed": _resolve_seed(args)},
+        inputs={"T": args.T, "seed": args.seed},
         results={
             "mask": [list(p) for p in mask.mask],
             "block_thetas": list(mask.thetas),
@@ -371,11 +379,11 @@ def cmd_polarization(args) -> Report:
 
 def cmd_kahler_check(args) -> Report:
     t = parse_matrix(args.T)
-    res = symplectic.kaehler_check(t, sample_count=args.samples, seed=_resolve_seed(args))
+    res = symplectic.kaehler_check(t, sample_count=args.samples, seed=args.seed)
     ok = res.isotropy_max_abs <= 1e-9 * res.scale and res.positivity_min >= -1e-9 * res.scale
     return Report(
         command="kahler-check",
-        inputs={"T": args.T, "samples": args.samples, "seed": _resolve_seed(args)},
+        inputs={"T": args.T, "samples": args.samples, "seed": args.seed},
         results={
             "isotropy_max_abs": res.isotropy_max_abs,
             "positivity_min": res.positivity_min,
@@ -406,7 +414,7 @@ def cmd_projective_compare(args) -> Report:
 
 def cmd_orbit_sample(args) -> Report:
     t = parse_matrix(args.T)
-    seed = _resolve_seed(args)
+    seed = args.seed
     samples = orbits.orbit_sample(t, args.count, args.scale, seed)
     dev = 0.0
     w0 = orbits.normal_frame(t, 0.0).values
@@ -597,18 +605,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("sandwich", cmd_sandwich, "rank-k norm equivalence bounds")
     sp.add_argument("--phi", type=parse_phi_spec, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=positive_int, required=True)
     sp.add_argument("F1")
     sp.add_argument("F2")
 
     sp = add("pi-regularity", cmd_pi_regularity, "regularity ratios of a power weight sequence")
-    sp.add_argument("--alpha", type=float, default=0.5)
-    sp.add_argument("--horizon", type=int, default=100_000)
+    sp.add_argument("--alpha", type=power_alpha, default=0.5)
+    sp.add_argument("--horizon", type=positive_int, default=100_000)
 
     sp = add("support", cmd_support, "support projection of a PSD density")
     sp.add_argument("rho")
-    sp.add_argument("--samples", type=int, default=20)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--samples", type=positive_int, default=20)
+    sp.add_argument("--seed", type=seed_int)
 
     sp = add("jordan", cmd_jordan, "orthogonal-support positive split of a density")
     sp.add_argument("rho")
@@ -618,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("faithful", cmd_faithful, "strict positivity of a density")
     sp.add_argument("rho")
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--tol", type=nonnegative_float, default=1e-12)
 
     sp = add("pinch", cmd_pinch, "block-diagonal compression along spectral blocks")
     sp.add_argument("T")
@@ -634,17 +642,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("radical", cmd_radical, "radical of the orbit form vs isotropy dimension")
     sp.add_argument("T")
-    sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--samples", type=positive_int, default=100)
+    sp.add_argument("--seed", type=seed_int)
 
     sp = add("polarization", cmd_polarization, "half-space polarization and its properties")
     sp.add_argument("T")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=seed_int)
 
     sp = add("kahler-check", cmd_kahler_check, "isotropy and positivity of the polarization")
     sp.add_argument("T")
-    sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--samples", type=positive_int, default=200)
+    sp.add_argument("--seed", type=seed_int)
 
     sp = add("projective-compare", cmd_projective_compare, "orbit form vs projective-space form")
     sp.add_argument("x0")
@@ -653,20 +661,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("orbit-sample", cmd_orbit_sample, "random unitary conjugates of a reference")
     sp.add_argument("T")
-    sp.add_argument("--count", type=int, default=5)
+    sp.add_argument("--count", type=positive_int, default=5)
     sp.add_argument("--scale", type=float, default=0.2)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=seed_int)
     sp.add_argument("--out", help="write samples to OUT<k>.json")
 
     sp = add("leaf-compare", cmd_leaf_compare, "are two matrices on the same orbit")
     sp.add_argument("A")
     sp.add_argument("B")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=nonnegative_float, default=1e-9)
 
     sp = add("cross-section", cmd_cross_section, "canonical unitary over an orbit point")
     sp.add_argument("T")
     sp.add_argument("V")
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=nonnegative_float, default=1e-8)
     sp.add_argument("--corner-tol", type=float, default=cs.CORNER_TOL)
 
     sp = add("well-defined", cmd_well_defined, "section independence of the unitary representative")
@@ -678,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("T")
     sp.add_argument("A")
     sp.add_argument("--phi", type=parse_phi_spec, default="schatten:1")
-    sp.add_argument("--steps", type=int, default=20)
+    sp.add_argument("--steps", type=positive_int, default=20)
 
     sp = add("offdiag-bound", cmd_offdiag_bound, "gap-weighted bound on off-diagonal compressions")
     sp.add_argument("T")
@@ -687,11 +695,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("minpoly", cmd_minpoly, "monic annihilating polynomial of the clustered spectrum")
     sp.add_argument("T")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=nonnegative_float, default=None)
 
     sp = add("algebra-dim", cmd_algebra_dim, "dimension of the algebra generated by T")
     sp.add_argument("T")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=nonnegative_float, default=None)
 
     return p
 
@@ -704,6 +712,13 @@ def run_command(argv) -> int:
         return int(exc.code) if exc.code is not None else USAGE_EXIT
     if isinstance(getattr(args, "phi", None), str):
         args.phi = parse_phi_spec(args.phi)
+    if getattr(args, "seed", 0) is None:
+        env = os.environ.get("LEAFKIT_SEED", "0")
+        try:
+            args.seed = seed_int(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"leafkit: LEAFKIT_SEED: expected an integer >= 0, got {env!r}", file=sys.stderr)
+            return USAGE_EXIT
     try:
         report = args.handler(args)
     except (ParseError, ShapeError) as exc:

@@ -10,7 +10,10 @@ byte-identical modulo whitespace.
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -27,22 +30,14 @@ def matrix_to_obj(a: np.ndarray) -> dict:
         m = m[:, None]
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
-    data = [[[float(z.real), float(z.imag)] for z in row] for row in m]
-    return {"rows": m.shape[0], "cols": m.shape[1], "data": data}
+    rows, cols = m.shape
+    data = np.ascontiguousarray(m).view(np.float64).reshape(rows, cols, 2).tolist()
+    return {"rows": rows, "cols": cols, "data": data}
 
 
-def obj_to_matrix(obj, source: str = "<matrix>") -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{source}: top level must be a JSON object")
-    for key in ("rows", "cols", "data"):
-        if key not in obj:
-            raise ParseError(f"{source}: missing field {key!r}")
-    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
-        raise ParseError(f"{source}: rows/cols must be positive integers")
-    if not isinstance(data, list) or len(data) != rows:
-        raise ShapeError(f"{source}: data must be a list of {rows} rows")
-    out = np.zeros((rows, cols), dtype=np.complex128)
+def _raise_first_fault(data: list, cols: int, source: str) -> NoReturn:
+    """Raise the error for the first malformed row or entry of data, in
+    row-major order."""
     for r, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise ShapeError(f"{source}: row {r} must be a list of {cols} entries")
@@ -55,11 +50,44 @@ def obj_to_matrix(obj, source: str = "<matrix>") -> np.ndarray:
                 raise ParseError(
                     f"{source}: entry ({r}, {c}) must be a [re, im] pair of numbers"
                 )
-            re, im = float(entry[0]), float(entry[1])
-            if not (np.isfinite(re) and np.isfinite(im)):
+            try:
+                finite = math.isfinite(entry[0]) and math.isfinite(entry[1])
+            except OverflowError:
+                raise ParseError(f"{source}: entry ({r}, {c}) is too large for a double") from None
+            if not finite:
                 raise ParseError(f"{source}: entry ({r}, {c}) is not finite")
-            out[r, c] = complex(re, im)
-    return out
+    raise ParseError(f"{source}: data must hold [re, im] pairs of JSON numbers")
+
+
+def _well_formed(data: list, cols: int) -> bool:
+    """Whether data is a list of rows of cols [re, im] pairs of int or
+    float, checked by whole-list scans."""
+    if not all(type(row) is list and len(row) == cols for row in data):
+        return False
+    entries = list(chain.from_iterable(data))
+    return all(type(e) is list and len(e) == 2 for e in entries) and set(
+        map(type, chain.from_iterable(entries))
+    ) <= {int, float}
+
+
+def obj_to_matrix(obj, source: str = "<matrix>") -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{source}: top level must be a JSON object")
+    for key in ("rows", "cols", "data"):
+        if key not in obj:
+            raise ParseError(f"{source}: missing field {key!r}")
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
+        raise ParseError(f"{source}: rows/cols must be positive integers")
+    if not isinstance(data, list) or len(data) != rows:
+        raise ShapeError(f"{source}: data must be a list of {rows} rows")
+    try:
+        pairs = np.array(data, dtype=np.float64) if _well_formed(data, cols) else None
+    except OverflowError:
+        pairs = None
+    if pairs is None or not np.isfinite(pairs).all():
+        _raise_first_fault(data, cols, source)
+    return pairs.view(np.complex128)[..., 0]
 
 
 def parse_matrix_text(text: str, source: str = "<matrix>") -> np.ndarray:

@@ -71,13 +71,18 @@ def defect_exceeds(d: np.ndarray, tol: float, m: np.ndarray | None = None) -> bo
     """Whether ||d|| > tol * max(1, ||m||), or ||d|| > tol without m.
 
     Since ||d|| <= ||d||_F and the scale is at least 1, a Frobenius norm
-    below tol / 2 accepts without a singular value decomposition; the
-    factor 2 keeps that shortcut clear of roundoff at the boundary.  Every
-    other defect gets the exact spectral-norm test, so the decision is the
-    one the spectral rule makes.
+    below tol / 2 accepts without a singular value decomposition.  Since
+    ||d|| >= ||d||_F / sqrt(min(shape)) and ||m|| <= ||m||_F, a Frobenius
+    norm above 2 sqrt(min(shape)) tol max(1, ||m||_F) rejects without one.
+    The factors 2 keep both shortcuts clear of roundoff at the boundary.
+    Every other defect gets the exact spectral-norm test, so the decision
+    is the one the spectral rule makes.
     """
-    if np.linalg.norm(d) < 0.5 * tol:
+    fro = np.linalg.norm(d)
+    if fro < 0.5 * tol:
         return False
+    if fro > 2.0 * np.sqrt(min(d.shape)) * tol * (1.0 if m is None else max(1.0, np.linalg.norm(m))):
+        return True
     return spectral_norm(d) > tol * (1.0 if m is None else _scale(m))
 
 

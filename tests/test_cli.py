@@ -63,6 +63,138 @@ class TestMatrixIO:
             parse_matrix_text('{"rows":1,"cols":1,"data":[[[1.0]]]}')
 
 
+MALFORMED = [
+    ('[1, 2]', ParseError, "m.json: top level must be a JSON object"),
+    ('{"rows": 1, "cols": 1}', ParseError, "m.json: missing field 'data'"),
+    ('{"rows": 0, "cols": 1, "data": []}', ParseError, "m.json: rows/cols must be positive integers"),
+    ('{"rows": 1.0, "cols": 1, "data": [[[1, 0]]]}', ParseError, "m.json: rows/cols must be positive integers"),
+    ('{"rows": 2, "cols": 1, "data": [[[1, 0]]]}', ShapeError, "m.json: data must be a list of 2 rows"),
+    ('{"rows": 2, "cols": 2, "data": [[[1, 0], [2, 0]], [[1, 0]]]}', ShapeError,
+     "m.json: row 1 must be a list of 2 entries"),
+    ('{"rows": 2, "cols": 2, "data": [[[1, 0], [2, 0]], 5]}', ShapeError, "m.json: row 1 must be a list of 2 entries"),
+    ('{"rows": 2, "cols": 2, "data": [[[1, 0], [2, 0]], [[1, 0], [1]]]}', ParseError,
+     "m.json: entry (1, 1) must be a [re, im] pair of numbers"),
+    ('{"rows": 1, "cols": 2, "data": [[[1, 0], [true, 0]]]}', ParseError,
+     "m.json: entry (0, 1) must be a [re, im] pair of numbers"),
+    ('{"rows": 1, "cols": 2, "data": [[[1, 0], ["1", 0]]]}', ParseError,
+     "m.json: entry (0, 1) must be a [re, im] pair of numbers"),
+    ('{"rows": 1, "cols": 1, "data": [[{"re": 1}]]}', ParseError,
+     "m.json: entry (0, 0) must be a [re, im] pair of numbers"),
+    # the first fault in row-major order is named, whatever kind comes later
+    ('{"rows": 2, "cols": 2, "data": [[[1, 1e400], [2, 0]], [[1], [0, 0]]]}', ParseError,
+     "m.json: entry (0, 0) is not finite"),
+    ('{"rows": 2, "cols": 2, "data": [[[1, 0], [2, 0]], [[1, 0], [NaN, 0]]]}', ParseError,
+     "non-finite JSON token 'NaN' is not a valid matrix entry"),
+    ('{"rows": 1, "cols": 1, "data": [[[1, 0]]]', ParseError,
+     "m.json: invalid JSON at line 1, column 42: Expecting ',' delimiter"),
+    # not accepted before: a bool size read as 1, an integer too large for a double
+    ('{"rows": true, "cols": 1, "data": [[[1, 0]]]}', ParseError, "m.json: rows/cols must be positive integers"),
+    ('{"rows": 1, "cols": false, "data": [[]]}', ParseError, "m.json: rows/cols must be positive integers"),
+    ('{"rows": 1, "cols": 2, "data": [[[1, 0], [2, 1%s]]]}' % ("0" * 400), ParseError,
+     "m.json: entry (0, 1) is too large for a double"),
+]
+
+
+def loop_parse(text):
+    """The entry-by-entry conversion matrix files had before whole-array
+    parsing: one complex(float(re), float(im)) per entry."""
+    obj = json.loads(text)
+    out = np.zeros((obj["rows"], obj["cols"]), dtype=np.complex128)
+    for r, row in enumerate(obj["data"]):
+        for c, (re, im) in enumerate(row):
+            out[r, c] = complex(float(re), float(im))
+    return out
+
+
+class TestMatrixParse:
+    def test_equals_the_entry_loop(self, rng):
+        specials = [0, -0.0, 7, -3, 2**53 + 1, 10**20 + 12345, -(10**300), 5e-324, 1.5]
+        for _ in range(50):
+            r, c = (int(k) for k in rng.integers(1, 9, size=2))
+            obj = json.loads(emit_matrix(rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))))
+            for _ in range(4):
+                i, j, k = int(rng.integers(r)), int(rng.integers(c)), int(rng.integers(2))
+                obj["data"][i][j][k] = specials[int(rng.integers(len(specials)))]
+            text = json.dumps(obj)
+            a, b = parse_matrix_text(text), loop_parse(text)
+            assert a.shape == b.shape and a.dtype == b.dtype
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+            assert emit_matrix(a) == json.dumps(
+                {"rows": r, "cols": c, "data": [[[float(z.real), float(z.imag)] for z in row] for row in b]},
+                sort_keys=True,
+            )
+
+    @pytest.mark.parametrize("text, kind, message", MALFORMED)
+    def test_malformed_message(self, text, kind, message):
+        with pytest.raises(kind) as err:
+            parse_matrix_text(text, "m.json")
+        assert type(err.value) is kind
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", [
+        '{"rows": true, "cols": 1, "data": [[[1, 0]]]}',
+        '{"rows": 1, "cols": 1, "data": [[[1%s, 0]]]}' % ("0" * 400),
+    ])
+    def test_overflow_and_bool_sizes_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert run_command(["norm", "--phi", "sum", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err and err.startswith("leafkit: ")
+
+
+BAD_ARGUMENTS = [
+    ["orbit-sample", "T", "--count", "0"],
+    ["continuity", "T", "T", "--steps", "0"],
+    ["support", "T", "--samples", "0"],
+    ["radical", "T", "--samples", "-1"],
+    ["kahler-check", "T", "--samples", "0"],
+    ["pi-regularity", "--horizon", "0"],
+    ["sandwich", "--phi", "max", "--k", "0", "T", "T"],
+    ["faithful", "T", "--tol", "-1e-12"],
+    ["leaf-compare", "T", "T", "--tol", "nan"],
+    ["cross-section", "T", "T", "--tol", "-1"],
+    ["minpoly", "T", "--tol", "-0.5"],
+    ["algebra-dim", "T", "--tol", "-1e-9"],
+    ["pi-regularity", "--alpha", "1.0"],
+    ["pi-regularity", "--alpha", "-0.1"],
+    ["radical", "T", "--seed", "-1"],
+    ["radical", "T", "--samples", "two"],
+]
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=lambda a: " ".join(a[0:1] + a[-2:]))
+    def test_out_of_range_value_exits_2(self, capsys, workdir, argv):
+        _, put = workdir
+        t = put("t.json", np.diag([2.0, 1.0]))
+        code = run_command([t if a == "T" else a for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and "Traceback" not in err and "error: argument" in err
+
+    @pytest.mark.parametrize("value", ["seven", "1.5", "", "-3"])
+    def test_malformed_env_seed_exits_2(self, capsys, workdir, monkeypatch, value):
+        _, put = workdir
+        t = put("t.json", np.diag([2.0, 1.0]))
+        monkeypatch.setenv("LEAFKIT_SEED", value)
+        assert run_command(["radical", t]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err and "LEAFKIT_SEED" in err
+        # an explicit --seed takes precedence, and a command without a seed ignores it
+        assert run_command(["radical", t, "--seed", "3"]) == 0
+        assert run_command(["norm", "--phi", "max", t]) == 0
+        capsys.readouterr()
+
+    def test_range_boundaries_are_accepted(self, capsys, workdir):
+        _, put = workdir
+        t = put("t.json", np.diag([2.0, 1.0]))
+        assert run_command(["pi-regularity", "--alpha", "0", "--horizon", "1"]) == 0
+        assert run_command(["faithful", t, "--tol", "0"]) == 0
+        assert run_command(["orbit-sample", t, "--count", "1", "--seed", "0"]) == 0
+        capsys.readouterr()
+
+
 class TestSubcommands:
     def test_norm_trace_example(self, capsys, workdir):
         _, put = workdir

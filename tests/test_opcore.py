@@ -14,7 +14,11 @@ from leafkit.errors import (
 from leafkit.opcore import (
     HERM_TOL,
     UNITARY_TOL,
+    defect_exceeds,
     function_calculus,
+    hermitian_companion,
+    is_hermitian,
+    is_skew_hermitian,
     is_unitary,
     matrix_exp,
     polar_decompose,
@@ -367,3 +371,42 @@ class TestValidationGates:
                     require_hermitian(m)
             else:
                 require_hermitian(m)
+
+    @pytest.mark.parametrize("factor", BOUNDARY + [3.0, 1e3])
+    @pytest.mark.parametrize("norm_m", [1e-3, 1.0, 1e4])
+    def test_defect_exceeds_decides_as_the_spectral_rule(self, rng, factor, norm_m):
+        # defects of spectral norm factor * tol * max(1, ||M||), concentrated
+        # (rank one), spread (equal singular values) and generic: every
+        # path of the gate (Frobenius accept, Frobenius reject, exact test)
+        # must make the spectral rule's decision
+        for n in (1, 2, 6, 16):
+            h = random_hermitian(n, rng)
+            m = norm_m * h / spectral_norm(h)
+            u = random_unitary(n, rng)
+            directions = [
+                np.outer(u[:, 0], u[:, -1].conj()),
+                u @ random_unitary(n, rng),
+                rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+            ]
+            for tol in (HERM_TOL, UNITARY_TOL):
+                for direction in directions:
+                    direction = direction / spectral_norm(direction)
+                    d = factor * tol * max(1.0, spectral_norm(m)) * direction
+                    assert defect_exceeds(d, tol, m) == spectral_rule_rejects(d, tol, m) == (factor > 1.0)
+                    d = factor * tol * direction
+                    assert defect_exceeds(d, tol) == spectral_rule_rejects(d, tol) == (factor > 1.0)
+
+    @pytest.mark.parametrize("norm_m", [1e-12, 1e-10, 1e-8, 1e-4, 1.0, 1e4])
+    def test_skew_input_is_classified_by_the_spectral_rule(self, rng, norm_m):
+        # the Hermitian test of a skew M sees the defect 2M: the rule reads
+        # M as Hermitian only when 2 ||M|| <= tol, and the Frobenius reject
+        # takes the other cases once ||M||_F is well above sqrt(n) tol
+        n = 8
+        k = random_skew(n, rng)
+        m = norm_m * k / spectral_norm(k)
+        hermitian = not spectral_rule_rejects(m - m.conj().T, HERM_TOL, m)
+        assert hermitian == (norm_m < 0.5 * HERM_TOL)
+        assert is_hermitian(m) is hermitian
+        assert is_skew_hermitian(m)
+        h = m if hermitian else -1j * m
+        np.testing.assert_array_equal(hermitian_companion(m), 0.5 * (h + h.conj().T))
