@@ -23,6 +23,7 @@ from .opcore import (
     require_same_size,
     require_skew_hermitian,
     require_square,
+    require_unitary,
 )
 
 SPLIT_SEED = 1618
@@ -148,20 +149,18 @@ class KernelRangeSplit:
     residual: float
 
 
-def _real_coords(mats: list[np.ndarray]) -> np.ndarray:
-    rows = [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats]
-    return np.array(rows)
-
-
 def kernel_range_split(t) -> KernelRangeSplit:
     """Split the real Lie algebra of skew-Hermitian matrices along ad T.
 
+    The eigenframe F of T is certified unitary, so the coefficients of a
+    skew-Hermitian S over the combined basis are the entries of F* S F.
     The reported residual is the error of reconstructing a random
-    skew-Hermitian matrix from the combined basis by real least squares;
-    the two real dimensions add up to n^2.
+    skew-Hermitian S from them, ||F (F* S F) F* - S||_F; the two real
+    dimensions add up to n^2.
     """
-    tm = require_square(t)
-    bases = normal_frame(tm).bases
+    sd = normal_frame(t)
+    f = require_unitary(sd.frame, "eigenframe")
+    bases = sd.bases
     kernel: list[np.ndarray] = []
     rangeb: list[np.ndarray] = []
     for gi, b in enumerate(bases):
@@ -170,12 +169,9 @@ def kernel_range_split(t) -> KernelRangeSplit:
             rangeb.extend(_block_skew_units(b, c, False))
 
     rng = np.random.default_rng(SPLIT_SEED)
-    s = random_skew_hermitian(tm.shape[0], rng)
-    basis = kernel + rangeb
-    a = _real_coords(basis).T
-    b = np.concatenate([s.real.ravel(), s.imag.ravel()])
-    coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-    recon = sum(c * m for c, m in zip(coef, basis))
+    s = random_skew_hermitian(sd.size, rng)
+    fh = f.conj().T
+    recon = f @ (fh @ s @ f) @ fh
     return KernelRangeSplit(
         kernel_basis=kernel,
         range_basis=rangeb,
@@ -187,9 +183,3 @@ def isotropy_dimension(t) -> int:
     """Real dimension of Ker(ad T) inside the skew-Hermitian matrices:
     the sum of the squared cluster multiplicities."""
     return int(np.sum(normal_frame(t).multiplicities ** 2))
-
-
-def skew_hermitian_basis(n: int) -> list[np.ndarray]:
-    """Standard real basis of the n x n skew-Hermitian matrices
-    (dimension n^2)."""
-    return _block_skew_units(np.eye(n, dtype=np.complex128), np.eye(n, dtype=np.complex128), True)

@@ -14,10 +14,11 @@ numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NotHermitian, NotSkewHermitian, NotUnitVector, SizeMismatch
+from .errors import ClusterAmbiguity, NotHermitian, NotSkewHermitian, NotUnitVector, SizeMismatch
 from .opcore import (
     SpectralData,
     as_matrix,
@@ -26,24 +27,44 @@ from .opcore import (
     random_skew_hermitian,
     require_same_size,
     require_square,
+    require_unitary,
     spectral_norm,
 )
-from .orbits import normal_frame, skew_hermitian_basis
 
 RADICAL_REL_TOL = 1e-9
+# matrix entries in one stack of sampled draws: bounds the working set
+_STACK_ENTRIES = 8192
+
+
+def _companion(t, name: str = "T") -> np.ndarray:
+    """The Hermitian H of the skew-Hermitian representative iH of T:
+    T = iH for skew input, T = H for Hermitian input."""
+    try:
+        return hermitian_companion(t, name)
+    except NotHermitian:
+        raise NotSkewHermitian(f"{name}: expected a skew-Hermitian (or Hermitian) matrix") from None
 
 
 def _as_skew(t, name: str = "T") -> np.ndarray:
     """Return the skew-Hermitian representative: skew input unchanged,
     Hermitian input multiplied by i."""
-    try:
-        return 1j * hermitian_companion(t, name)
-    except NotHermitian:
-        raise NotSkewHermitian(f"{name}: expected a skew-Hermitian (or Hermitian) matrix") from None
+    return 1j * _companion(t, name)
 
 
-def _trace_form(tm: np.ndarray, z: np.ndarray, w: np.ndarray) -> complex:
-    return complex(np.trace(tm @ (z @ w - w @ z)))
+def _reference(t) -> tuple[np.ndarray, SpectralData]:
+    """The skew-Hermitian representative iH of T and the clustered
+    eigenframe F of H.  T is classified once, and F is certified unitary
+    once, so X -> F X F* is an isometry and every count and residual can
+    be read off in frame coordinates."""
+    h = _companion(t)
+    sd = SpectralData.from_hermitian(h)
+    require_unitary(sd.frame, "eigenframe")
+    return 1j * h, sd
+
+
+def _trace_form(tm: np.ndarray, z: np.ndarray, w: np.ndarray):
+    """Tr(T [Z, W]); one value per pair for stacks of Z and W."""
+    return np.trace(tm @ (z @ w - w @ z), axis1=-2, axis2=-1)
 
 
 def omega_complexified(t, z, w) -> complex:
@@ -54,7 +75,7 @@ def omega_complexified(t, z, w) -> complex:
     wm = as_matrix(w, "W")
     require_same_size(tm, zm)
     require_same_size(tm, wm)
-    return _trace_form(tm, zm, wm)
+    return complex(_trace_form(tm, zm, wm))
 
 
 def omega(t, x, y) -> float:
@@ -85,23 +106,43 @@ def radical_check(t, sample_count: int = 100, seed: int = 0) -> RadicalCheck:
     skew-Hermitian matrices, compared with the isotropy dimension
     sum_i m_i^2.
 
+    The basis is the frame basis {i f_a f_a*, f_a f_b* - f_b f_a*,
+    i (f_a f_b* + f_b f_a*)} of the eigenframe F of T, and the Gram is
+    evaluated by the trace form on D = F* T F.  Pairs (a, b) couple
+    through 2i (D_aa - D_bb); every other entry involves an off-diagonal
+    entry of D.  Since |Tr(R [X, Y])| <= 2 ||R|| ||X||_F ||Y||_F and the
+    basis elements have Frobenius norm 1 or sqrt(2), those dropped
+    couplings have spectral norm at most 4 ||offdiag(D)||_F.  By Weyl's
+    inequality each singular value of the
+    full Gram lies within that bound of one of the kept 2x2 blocks, so
+    the count is certified when no kept value lies within the bound of
+    the cutoff RADICAL_REL_TOL * max(largest value, ||T||); otherwise
+    ClusterAmbiguity is raised.  T = 0 counts as all radical.
+
     Also reports the largest sampled pairing |omega_T(K, S)| over random
     K in Ker(ad T) and random skew S (zero up to roundoff when the match
     holds).  A Hermitian reference is read as its skew partner iT.
     """
-    tm = _as_skew(t)
-    n = tm.shape[0]
-    basis = skew_hermitian_basis(n)
-    b = np.array(basis)
-    c = np.einsum("ij,ajk->aik", tm, b) - np.einsum("aij,jk->aik", b, tm)
-    gram = np.einsum("aij,bji->ab", c, b).real
-    sv = np.linalg.svd(gram, compute_uv=False)
-    top = sv[0] if len(sv) else 0.0
-    # gram entries scale like ||T||, so a numerically zero gram (scalar T)
-    # must count as all-radical: floor the cutoff at the scale of omega_T
-    cutoff = RADICAL_REL_TOL * max(top, 1.0, spectral_norm(tm))
-    radical_dim = int(np.count_nonzero(sv <= cutoff))
-    sd = normal_frame(tm)
+    tm, sd = _reference(t)
+    n = sd.size
+    f = sd.frame
+    d = f.conj().T @ tm @ f
+    diag = np.diagonal(d)
+    a, b = np.triu_indices(n, 1)
+    pair = np.abs((2j * (diag[a] - diag[b])).real)
+    # singular values of the kept Gram: 0 for each i f_a f_a*, |g| twice per pair block
+    kept = np.concatenate([np.zeros(n), pair, pair])
+    drop = 4.0 * np.linalg.norm(d - np.diag(diag))
+    top = kept.max(initial=0.0)
+    norm_t = float(np.abs(sd.values).max(initial=0.0))
+    lo = RADICAL_REL_TOL * max(top - drop, norm_t) - drop
+    hi = RADICAL_REL_TOL * max(top + drop, norm_t) + drop
+    if np.any((kept > lo) & (kept <= hi)):
+        raise ClusterAmbiguity(
+            f"radical count not certified: a Gram singular value lies within the dropped-coupling "
+            f"bound {drop:.3e} of the cutoff {RADICAL_REL_TOL * max(top, norm_t):.3e}"
+        )
+    radical_dim = int(np.count_nonzero(kept <= lo))
     iso = int(np.sum(sd.multiplicities ** 2))
 
     rng = np.random.default_rng(seed)
@@ -109,7 +150,7 @@ def radical_check(t, sample_count: int = 100, seed: int = 0) -> RadicalCheck:
     for _ in range(sample_count):
         k = sd.pinch(random_skew_hermitian(n, rng))
         s = random_skew_hermitian(n, rng)
-        worst = max(worst, abs(_trace_form(tm, k, s)))
+        worst = max(worst, abs(complex(_trace_form(tm, k, s))))
     return RadicalCheck(
         radical_dim=radical_dim,
         isotropy_dim=iso,
@@ -126,13 +167,14 @@ class PolarizationMask:
     eigenvalues of T are i theta): sorted cluster i is cluster
     block_order[i] of the ascending eigenframe spectral.  The mask holds
     the sorted cluster pairs (i, j) whose blocks belong to the
-    polarization, i.e. all pairs with theta_i >= theta_j.  basis spans
-    the polarization by matrix units of the eigenframe.
+    polarization, i.e. all pairs with theta_i >= theta_j.  In the
+    polarization-ordered frame G (the eigenframe columns with the clusters
+    in sorted order) the polarization is G C G* for C supported on the
+    upper block triangle.
     """
 
     block_order: tuple[int, ...]
     mask: tuple[tuple[int, int], ...]
-    basis: list[np.ndarray] = field(repr=False)
     thetas: tuple[float, ...] = ()
     multiplicities: tuple[int, ...] = ()
     spectral: SpectralData | None = field(default=None, repr=False)
@@ -152,6 +194,43 @@ class PolarizationMask:
             sup[blocks[i], blocks[j]] = True
         return sup
 
+    @cached_property
+    def ordered_frame(self) -> np.ndarray:
+        """The polarization-ordered frame G: the eigenframe columns, cluster
+        block_order[0] first."""
+        sd = self.spectral
+        return np.concatenate([sd.frame[:, sd.blocks[k]] for k in self.block_order], axis=1)
+
+    @cached_property
+    def units(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column in G of each matrix unit spanning the
+        polarization, block by block in mask order, row-major in a block:
+        the order of basis."""
+        edges = np.cumsum([0, *self.multiplicities])
+        rows, cols = [], []
+        for i, j in self.mask:
+            r, c = np.meshgrid(np.arange(edges[i], edges[i + 1]), np.arange(edges[j], edges[j + 1]), indexing="ij")
+            rows.append(r.ravel())
+            cols.append(c.ravel())
+        return np.concatenate(rows), np.concatenate(cols)
+
+    def element(self, coeff: np.ndarray) -> np.ndarray:
+        """sum_k coeff[k] basis[k], formed as G C G* with coefficient k
+        placed where unit k sits in C.  Leading axes of coeff give a
+        stack of elements."""
+        g = self.ordered_frame
+        n = g.shape[0]
+        c = np.zeros(coeff.shape[:-1] + (n, n), dtype=np.complex128)
+        c[(..., *self.units)] = coeff
+        return g @ c @ g.conj().T
+
+    @property
+    def basis(self) -> list[np.ndarray]:
+        """The matrix units g_a g_b* of G spanning the polarization, in the
+        order of units; built on each access."""
+        g = self.ordered_frame
+        return [np.outer(g[:, a], g[:, b].conj()) for a, b in zip(*self.units)]
+
 
 def polarization(t) -> PolarizationMask:
     """Construct the positivity-oriented polarization for a reference T.
@@ -161,24 +240,27 @@ def polarization(t) -> PolarizationMask:
     row-cluster theta >= column-cluster theta.  A Hermitian reference is
     read as its skew partner iT.
     """
-    sd = normal_frame(_as_skew(t))
+    return _polarization(_reference(t)[1])
+
+
+def _polarization(sd: SpectralData) -> PolarizationMask:
     order = tuple(int(i) for i in np.argsort(-sd.eigenvalues, kind="stable"))
-    bases = sd.bases
     k = len(order)
-    mask = tuple((i, j) for i in range(k) for j in range(k) if i <= j)
-    basis = []
-    for i, j in mask:
-        for a in bases[order[i]].T:
-            for b in bases[order[j]].T:
-                basis.append(np.outer(a, b.conj()))
     return PolarizationMask(
         block_order=order,
-        mask=mask,
-        basis=basis,
+        mask=tuple((i, j) for i in range(k) for j in range(i, k)),
         thetas=tuple(float(sd.eigenvalues[i]) for i in order),
         multiplicities=tuple(int(sd.multiplicities[i]) for i in order),
         spectral=sd,
     )
+
+
+def _stacks(count: int, n: int):
+    """Sizes of the stacks that split count draws of n x n matrices, each
+    stack at most _STACK_ENTRIES matrix entries (one draw at least)."""
+    step = max(1, _STACK_ENTRIES // max(1, n * n))
+    for start in range(0, count, step):
+        yield min(step, count - start)
 
 
 @dataclass(frozen=True)
@@ -192,14 +274,6 @@ class PolarizationProperties:
     complemented: bool
 
 
-def _span_rank(mats: list[np.ndarray], rel_tol: float = 1e-9) -> int:
-    rows = np.array([m.ravel() for m in mats])
-    sv = np.linalg.svd(rows, compute_uv=False)
-    if len(sv) == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > rel_tol * sv[0]))
-
-
 def polarization_properties(t, mask: PolarizationMask | None = None,
                             sample_count: int = 50, seed: int = 0) -> PolarizationProperties:
     """Numerical verification of the four polarization properties of
@@ -207,35 +281,44 @@ def polarization_properties(t, mask: PolarizationMask | None = None,
     the isotropy subalgebra, intersection with the adjoint span equal to
     the complexified isotropy, joint spanning of the full matrix space,
     and complementedness (dimension bookkeeping).
+
+    The frame of mask is certified unitary, so X -> F X F* is an
+    isometry: the polarization, its adjoint span and their sum have the
+    complex dimensions of their entry supports sup, sup.T and
+    sup | sup.T in frame coordinates.
     """
-    tm = _as_skew(t)
-    n = tm.shape[0]
     if mask is None:
         mask = polarization(t)
+    else:
+        _as_skew(t)
     sd = mask.spectral
+    n = sd.size
     sup = mask.support()
 
+    f = sd.frame
+    n2 = n * n
+    size = len(mask.units[0])
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(sample_count):
-        k = sd.pinch(random_skew_hermitian(n, rng))
-        coeff = rng.standard_normal(len(mask.basis)) + 1j * rng.standard_normal(len(mask.basis))
-        z = sum(c * b for c, b in zip(coeff, mask.basis))
-        z /= np.linalg.norm(z)
+    for m in _stacks(sample_count, n):
+        # per sample: the normals of random_skew_hermitian(n), then Re and
+        # Im of the coefficients of Z
+        x = rng.standard_normal((m, 2 * n2 + 2 * size))
+        g = (x[:, :n2] + 1j * x[:, n2 : 2 * n2]).reshape(m, n, n)
+        k = sd.pinch(0.5 * (g - g.conj().swapaxes(-2, -1)))
+        z = mask.element(x[:, 2 * n2 : 2 * n2 + size] + 1j * x[:, 2 * n2 + size :])
+        z /= np.linalg.norm(z, axis=(-2, -1), keepdims=True)
         c = k @ z - z @ k
-        c_frame = sd.frame.conj().T @ c @ sd.frame
-        off = np.linalg.norm(c_frame[~sup])
-        worst = max(worst, off / max(1.0, np.linalg.norm(c)))
+        off = np.linalg.norm((f.conj().T @ c @ f)[:, ~sup], axis=-1)
+        worst = max(worst, float((off / np.maximum(1.0, np.linalg.norm(c, axis=(-2, -1)))).max()))
 
-    conj_basis = [b.conj().T for b in mask.basis]
-    dim_p = _span_rank(mask.basis)
-    dim_sum = _span_rank(mask.basis + conj_basis)
-    dim_intersection = 2 * dim_p - dim_sum
+    dim_p = int(sup.sum())
+    dim_sum = int((sup | sup.T).sum())
     iso_complex_dim = int(sum(m * m for m in mask.multiplicities))
     return PolarizationProperties(
         commutation_residual=worst,
         dim_p=dim_p,
-        dim_intersection=dim_intersection,
+        dim_intersection=2 * dim_p - dim_sum,
         dim_intersection_expected=iso_complex_dim,
         dim_sum=dim_sum,
         dim_ambient=n * n,
@@ -258,24 +341,22 @@ def kaehler_check(t, sample_count: int = 200, seed: int = 0) -> KaehlerCheck:
     -i omega_T(Z, Z*) is nonnegative.  Both contracts are relative to
     scale = max(1, ||T||).  A Hermitian reference is read as its skew
     partner iT."""
-    tm = _as_skew(t)
-    mask = polarization(t)
+    tm, sd = _reference(t)
+    mask = _polarization(sd)
+    size = len(mask.units[0])
     rng = np.random.default_rng(seed)
-
-    def draw() -> np.ndarray:
-        c = rng.standard_normal(len(mask.basis)) + 1j * rng.standard_normal(len(mask.basis))
-        z = sum(ci * b for ci, b in zip(c, mask.basis))
-        nz = np.linalg.norm(z)
-        return z / nz if nz > 0 else z
-
     iso_max = 0.0
     pos_min = np.inf
-    for _ in range(sample_count):
-        z1 = draw()
-        z2 = draw()
-        iso_max = max(iso_max, abs(_trace_form(tm, z1, z2)))
-        val = (-1j * _trace_form(tm, z1, z1.conj().T)).real
-        pos_min = min(pos_min, val)
+    for m in _stacks(sample_count, sd.size):
+        # per sample: Re and Im of the coefficients of Z1, then of Z2
+        x = rng.standard_normal((m, 2, 2, size))
+        z = mask.element(x[:, :, 0] + 1j * x[:, :, 1])
+        nz = np.linalg.norm(z, axis=(-2, -1), keepdims=True)
+        np.divide(z, nz, out=z, where=nz > 0)
+        z1, z2 = z[:, 0], z[:, 1]
+        iso_max = max(iso_max, float(np.abs(_trace_form(tm, z1, z2)).max()))
+        pos = (-1j * _trace_form(tm, z1, z1.conj().swapaxes(-2, -1))).real
+        pos_min = min(pos_min, float(pos.min()))
     return KaehlerCheck(
         isotropy_max_abs=iso_max,
         positivity_min=float(pos_min),

@@ -12,7 +12,6 @@ from leafkit.orbits import (
     orbit_sample,
     pinching,
     same_leaf,
-    skew_hermitian_basis,
 )
 
 from conftest import (
@@ -22,6 +21,7 @@ from conftest import (
     random_skew,
     random_unitary,
 )
+from oracles import skew_hermitian_basis
 
 
 def real_span_residual(mats, target):

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from leafkit.errors import NotSkewHermitian, NotUnitVector
-from leafkit.orbits import kernel_range_split, skew_hermitian_basis
+import oracles
+from leafkit.errors import ClusterAmbiguity, NotSkewHermitian, NotUnitVector
+from leafkit.orbits import SPLIT_SEED, isotropy_dimension, kernel_range_split, pinching
+from leafkit.opcore import random_skew_hermitian
 from leafkit.symplectic import (
     kaehler_check,
     omega,
@@ -13,7 +18,8 @@ from leafkit.symplectic import (
     radical_check,
 )
 
-from conftest import random_skew, random_unitary
+from conftest import hermitian_with_spectrum, random_skew, random_unitary, separated_values
+from oracles import skew_hermitian_basis
 
 
 class TestOmega:
@@ -218,3 +224,134 @@ class TestProjectiveCompare:
     def test_rejects_non_unit_vector(self, rng):
         with pytest.raises(NotUnitVector):
             projective_form_compare(np.array([1.0, 1.0]), random_skew(2, rng), random_skew(2, rng))
+
+
+@st.composite
+def clustered_reference(draw):
+    """(T, multiplicities, skew representative) for a random Hermitian or
+    skew-Hermitian T with n <= 8 and a random multiplicity pattern."""
+    mults = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8).filter(lambda m: sum(m) <= 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = hermitian_with_spectrum(np.repeat(separated_values(rng, len(mults)), mults), rng)
+    h = 0.5 * (h + h.conj().T)
+    skew = draw(st.booleans())
+    return (1j * h if skew else h), mults, 1j * h
+
+
+ORACLE_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestAgainstDenseOracles:
+    """The eigenframe paths against the dense constructions of
+    tests/oracles.py on random multiplicity patterns, n <= 8."""
+
+    @ORACLE_SETTINGS
+    @given(clustered_reference(), st.integers(0, 2**31 - 1))
+    def test_counts_and_samples(self, case, seed):
+        t, mults, tm = case
+        iso = sum(m * m for m in mults)
+        scale = max(1.0, np.linalg.norm(tm, 2))
+
+        rad = radical_check(t, sample_count=5, seed=seed)
+        assert rad.radical_dim == oracles.radical_dim(tm) == iso
+        assert rad.match
+
+        mask = polarization(t)
+        props = polarization_properties(t, mask, sample_count=10, seed=seed)
+        basis = mask.basis
+        adjoints = [b.conj().T for b in basis]
+        assert props.dim_p == oracles.span_rank(basis) == len(basis)
+        assert props.dim_sum == oracles.span_rank(basis + adjoints)
+        assert props.dim_intersection == 2 * props.dim_p - props.dim_sum == iso
+        assert abs(props.commutation_residual - oracles.commutation_residual(mask, 10, seed)) <= 1e-12
+
+        kc = kaehler_check(t, sample_count=10, seed=seed)
+        iso_max, pos_min = oracles.kaehler_samples(tm, mask, 10, seed)
+        assert abs(kc.isotropy_max_abs - iso_max) <= 1e-12 * scale
+        assert abs(kc.positivity_min - pos_min) <= 1e-12 * scale
+
+    @ORACLE_SETTINGS
+    @given(clustered_reference(), st.integers(0, 2**31 - 1))
+    def test_kernel_range_split_spans(self, case, seed):
+        t, mults, _ = case
+        n = sum(mults)
+        split = kernel_range_split(t)
+        assert len(split.kernel_basis) == sum(m * m for m in mults)
+        assert len(split.kernel_basis) + len(split.range_basis) == n * n
+        s = random_skew_hermitian(n, np.random.default_rng(SPLIT_SEED))
+        _, residual = oracles.lstsq_split(split.kernel_basis + split.range_basis, s)
+        assert residual <= 1e-12 and split.residual <= 1e-12
+        # the kernel span is the pinching image and the range span its complement
+        s = random_skew_hermitian(n, np.random.default_rng(seed))
+        coef, residual = oracles.lstsq_split(split.kernel_basis + split.range_basis, s)
+        assert residual <= 1e-12
+        kd = len(split.kernel_basis)
+        kernel_part = sum((c * b for c, b in zip(coef[:kd], split.kernel_basis)), np.zeros((n, n)))
+        np.testing.assert_allclose(kernel_part, pinching(t, s), atol=1e-12)
+
+
+class TestScaleCovariance:
+    def test_tiny_reference_is_classified_once(self):
+        # read as Hermitian, T has two clusters; iT must not be re-read as
+        # the Hermitian 0, which would give one cluster of 2
+        t = np.diag([1e-12, -1e-12]).astype(complex)
+        rad = radical_check(t, sample_count=5, seed=0)
+        assert rad.radical_dim == rad.isotropy_dim == isotropy_dimension(t) == 2
+        assert rad.match
+        assert polarization(t).multiplicities == (1, 1)
+
+    @pytest.mark.parametrize("k", range(-8, 9))
+    def test_scaled_reference(self, k):
+        rng = np.random.default_rng(1000 + k)
+        mults = (2, 1, 3)
+        h = hermitian_with_spectrum(np.repeat([1.5, -0.5, -2.0], mults), rng)
+        for t in (10.0**k * h, 10.0**k * 1j * h):
+            rad = radical_check(t, sample_count=5, seed=k + 8)
+            assert rad.radical_dim == rad.isotropy_dim == isotropy_dimension(t) == 14
+            assert polarization(t).multiplicities == mults
+            kc = kaehler_check(t, sample_count=20, seed=k + 8)
+            assert kc.isotropy_max_abs <= 1e-9 * kc.scale
+            assert kc.positivity_min >= -1e-9 * kc.scale
+
+    def test_gram_value_at_the_cutoff_is_not_certified(self):
+        # theta = (0, 1e-9, 1): the pair value 2e-9 equals the cutoff
+        # 1e-9 * max(2, ||T||) to roundoff, well inside the dropped-coupling
+        # bound, so the count cannot be certified
+        rng = np.random.default_rng(77)
+        t = hermitian_with_spectrum([0.0, 1e-9, 1.0], rng)
+        with pytest.raises(ClusterAmbiguity):
+            radical_check(t, sample_count=1)
+
+    def test_zero_reference_is_all_radical(self):
+        res = radical_check(np.zeros((3, 3)), sample_count=3)
+        assert res.radical_dim == res.isotropy_dim == 9
+        assert res.sampled_pairing_max == 0.0
+
+
+def traced_peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudgets:
+    """tracemalloc peaks at n = 32 with multiplicities (12, 8, 8, 4); the
+    dense paths took 64.3, 41.5, 10.5 and 48.3 MiB."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        rng = np.random.default_rng(3232)
+        return hermitian_with_spectrum(np.repeat([3.0, 1.0, -0.5, -2.0], (12, 8, 8, 4)), rng)
+
+    @pytest.mark.parametrize("name, call, budget_mib", [
+        ("radical_check", radical_check, 4),
+        ("polarization_properties", polarization_properties, 4),
+        ("kaehler_check", kaehler_check, 4),
+        # the eager kernel and range lists alone hold 16 MiB
+        ("kernel_range_split", kernel_range_split, 24),
+    ])
+    def test_peak(self, reference, name, call, budget_mib):
+        assert traced_peak_mib(lambda: call(reference)) <= budget_mib, name
