@@ -290,7 +290,7 @@ def polarization_properties(t, mask: PolarizationMask | None = None,
     if mask is None:
         mask = polarization(t)
     else:
-        _as_skew(t)
+        require_same_size(_as_skew(t), mask.spectral.frame)
     sd = mask.spectral
     n = sd.size
     sup = mask.support()

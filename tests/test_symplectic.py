@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from leafkit.errors import ClusterAmbiguity, NotSkewHermitian, NotUnitVector
+from leafkit.errors import ClusterAmbiguity, NotSkewHermitian, NotUnitVector, SizeMismatch
 from leafkit.orbits import SPLIT_SEED, isotropy_dimension, kernel_range_split, pinching
 from leafkit.opcore import random_skew_hermitian
 from leafkit.symplectic import (
@@ -142,6 +142,10 @@ class TestPolarization:
             assert props.dim_intersection == props.dim_intersection_expected == 6
             assert props.dim_sum == 16
             assert props.complemented
+
+    def test_mask_of_another_size_is_rejected(self):
+        with pytest.raises(SizeMismatch):
+            polarization_properties(np.diag([2j, 1j, 0.0]), polarization(np.diag([2j, 1j])))
 
     def test_positivity_on_matrix_units(self):
         # -i omega(Z, Z*) on an included off-diagonal unit equals the
