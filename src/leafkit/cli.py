@@ -414,8 +414,7 @@ def cmd_projective_compare(args) -> Report:
 
 def cmd_orbit_sample(args) -> Report:
     t = parse_matrix(args.T)
-    seed = args.seed
-    samples = orbits.orbit_sample(t, args.count, args.scale, seed)
+    samples = orbits.orbit_sample(t, args.count, args.scale, args.seed)
     dev = 0.0
     w0 = orbits.normal_frame(t, 0.0).values
     for s in samples:
@@ -427,7 +426,7 @@ def cmd_orbit_sample(args) -> Report:
             write_matrix(s, f"{args.out}{k}.json")
     return Report(
         command="orbit-sample",
-        inputs={"T": args.T, "count": args.count, "scale": args.scale, "seed": seed},
+        inputs={"T": args.T, "count": args.count, "scale": args.scale, "seed": args.seed},
         results={"count": len(samples), "max_signature_deviation": dev, "leaf_preserved": ok},
         tolerances={"signature": 1e-9},
         ok=ok,
