@@ -113,10 +113,10 @@ def radical_check(t, sample_count: int = 100, seed: int = 0) -> RadicalCheck:
     entry of D.  Since |Tr(R [X, Y])| <= 2 ||R|| ||X||_F ||Y||_F and the
     basis elements have Frobenius norm 1 or sqrt(2), those dropped
     couplings have spectral norm at most 4 ||offdiag(D)||_F.  By Weyl's
-    inequality each singular value of the
-    full Gram lies within that bound of one of the kept 2x2 blocks, so
-    the count is certified when no kept value lies within the bound of
-    the cutoff RADICAL_REL_TOL * max(largest value, ||T||); otherwise
+    inequality each singular value of the full Gram lies within that
+    bound of one of the kept 2x2 blocks, so the count is certified when
+    no kept value lies within the bound of the cutoff
+    RADICAL_REL_TOL * max(largest value, ||T||); otherwise
     ClusterAmbiguity is raised.  T = 0 counts as all radical.
 
     Also reports the largest sampled pairing |omega_T(K, S)| over random
@@ -297,7 +297,7 @@ def polarization_properties(t, mask: PolarizationMask | None = None,
 
     f = sd.frame
     n2 = n * n
-    size = len(mask.units[0])
+    size = mask.complex_dim
     rng = np.random.default_rng(seed)
     worst = 0.0
     for m in _stacks(sample_count, n):
@@ -343,7 +343,7 @@ def kaehler_check(t, sample_count: int = 200, seed: int = 0) -> KaehlerCheck:
     partner iT."""
     tm, sd = _reference(t)
     mask = _polarization(sd)
-    size = len(mask.units[0])
+    size = mask.complex_dim
     rng = np.random.default_rng(seed)
     iso_max = 0.0
     pos_min = np.inf
