@@ -65,12 +65,25 @@ def lstsq_split(basis, s):
     return coef, float(np.linalg.norm(recon - s))
 
 
+def polarization_basis(mask):
+    """The matrix units a b* spanning the polarization: for each sorted
+    cluster pair (i, j) in mask order, a over the eigenvectors of cluster
+    i and, inside, b over those of cluster j."""
+    bases = mask.spectral.bases
+    out = []
+    for i, j in mask.mask:
+        for a in bases[mask.block_order[i]].T:
+            for b in bases[mask.block_order[j]].T:
+                out.append(np.outer(a, b.conj()))
+    return out
+
+
 def commutation_residual(mask, sample_count, seed):
     """The isotropy-stability residual of polarization_properties, each
-    draw a coefficient sum over mask.basis."""
+    draw a coefficient sum over polarization_basis(mask)."""
     sd = mask.spectral
     n = sd.size
-    basis = mask.basis
+    basis = polarization_basis(mask)
     sup = mask.support()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -88,8 +101,8 @@ def commutation_residual(mask, sample_count, seed):
 
 def kaehler_samples(tm, mask, sample_count, seed):
     """(isotropy_max_abs, positivity_min) of kaehler_check, each draw a
-    coefficient sum over mask.basis."""
-    basis = mask.basis
+    coefficient sum over polarization_basis(mask)."""
+    basis = polarization_basis(mask)
     rng = np.random.default_rng(seed)
 
     def draw():

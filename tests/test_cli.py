@@ -80,6 +80,7 @@ MALFORMED = [
      "m.json: entry (0, 1) must be a [re, im] pair of numbers"),
     ('{"rows": 1, "cols": 1, "data": [[{"re": 1}]]}', ParseError,
      "m.json: entry (0, 0) must be a [re, im] pair of numbers"),
+    ('{"rows": 1, "cols": 2, "data": [[[1, 0], [-1e400, 0]]]}', ParseError, "m.json: entry (0, 1) is not finite"),
     # the first fault in row-major order is named, whatever kind comes later
     ('{"rows": 2, "cols": 2, "data": [[[1, 1e400], [2, 0]], [[1], [0, 0]]]}', ParseError,
      "m.json: entry (0, 0) is not finite"),

@@ -262,7 +262,13 @@ class TestAgainstDenseOracles:
 
         mask = polarization(t)
         props = polarization_properties(t, mask, sample_count=10, seed=seed)
-        basis = mask.basis
+        basis = oracles.polarization_basis(mask)
+        assert len(mask.basis) == len(basis)
+        for b, oracle in zip(mask.basis, basis):
+            np.testing.assert_array_equal(b, oracle)
+        rng = np.random.default_rng(seed)
+        coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        np.testing.assert_allclose(mask.element(coeff), sum(c * b for c, b in zip(coeff, basis)), atol=1e-12)
         adjoints = [b.conj().T for b in basis]
         assert props.dim_p == oracles.span_rank(basis) == len(basis)
         assert props.dim_sum == oracles.span_rank(basis + adjoints)
