@@ -7,13 +7,23 @@ the exit code to classify the outcome:
 
 * 0 -- the command ran and every contract it checks holds ("pass": true);
 * 1 -- the command ran but a contract failed;
-* 2 -- usage error (bad arguments or unreadable/malformed input files);
+* 2 -- usage error (bad arguments, unreadable/malformed input files, or
+  an output file that cannot be written); nothing is printed on stdout;
 * 3 -- numerical precondition violated (e.g. a spectral-block compression
   too close to singular for the cross-section construction).
 
 The default RNG seed is 0, overridden by the LEAFKIT_SEED environment
 variable, overridden by --seed; a seed that is not an integer >= 0 is a
 usage error.
+
+Each subcommand is one handler under a ``@command(name, help, files,
+**options)`` decorator, which enters it in ``COMMANDS``.  Every positional
+argument is a matrix file; ``files`` names them in order, and each option
+``--<name>`` is given by its argparse keyword spec.  ``run_command`` parses
+the files, calls ``handler(args, *matrices)`` for ``(results, tolerances,
+ok)``, and echoes the file paths and options as the report's ``inputs``
+(norming functions by label); an option spec with ``report=False`` is
+left out of them.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -123,81 +134,97 @@ def _phi_set():
     return [parse_phi_spec(s) for s in DEFAULT_PHI_SET]
 
 
+# ---------------------------------------------------------------- command table
+
+
+@dataclass
+class Command:
+    handler: Callable
+    help: str
+    files: tuple[str, ...]
+    options: dict[str, dict]
+
+
+COMMANDS: dict[str, Command] = {}
+
+PHI = dict(type=parse_phi_spec, required=True)
+SEED = dict(type=seed_int)
+TOL = dict(type=nonnegative_float, default=None)
+
+
+def command(name: str, help: str, files=(), **options):
+    """Enter the decorated handler in COMMANDS as subcommand `name`."""
+
+    def register(handler):
+        COMMANDS[name] = Command(handler, help, tuple(files), options)
+        return handler
+
+    return register
+
+
+def _inputs(cmd: Command, args) -> dict:
+    inputs = {name: getattr(args, name) for name in cmd.files}
+    for dest, spec in cmd.options.items():
+        if spec.get("report", True):
+            value = getattr(args, dest)
+            if isinstance(value, norming.NormingFunctionSpec):
+                value = value.label()
+            inputs[dest] = value
+    return inputs
+
+
 # ---------------------------------------------------------------- handlers
 
 
-def cmd_norm(args) -> Report:
-    a = parse_matrix(args.matrix)
-    phi = args.phi
-    value = norming.op_norm(phi, a)
-    return Report(
-        command="norm",
-        inputs={"matrix": args.matrix, "phi": phi.label()},
-        results={"norm": value, "singular_values": singular_values(a)},
-    )
+@command("norm", "ideal norm of a matrix", ["matrix"], phi=PHI)
+def cmd_norm(args, a):
+    return {"norm": norming.op_norm(args.phi, a), "singular_values": singular_values(a)}, {}, True
 
 
-def cmd_dual_check(args) -> Report:
-    t = parse_matrix(args.T)
-    s = parse_matrix(args.S)
+@command("dual-check", "trace-pairing duality bound", ["T", "S"], phi=PHI)
+def cmd_dual_check(args, t, s):
     res = norming.duality_gap(args.phi, t, s)
-    ok = res.gap >= -1e-9
-    return Report(
-        command="dual-check",
-        inputs={"T": args.T, "S": args.S, "phi": args.phi.label()},
-        results={"pairing": res.pairing, "bound": res.bound, "gap": res.gap},
-        tolerances={"gap_floor": -1e-9},
-        ok=ok,
-    )
+    results = {"pairing": res.pairing, "bound": res.bound, "gap": res.gap}
+    return results, {"gap_floor": -1e-9}, res.gap >= -1e-9
 
 
-def cmd_adjoint(args) -> Report:
+@command("adjoint", "closed-form adjoint gauge", phi=PHI)
+def cmd_adjoint(args):
     adj = norming.adjoint_snf(args.phi)
     involution_ok = norming.adjoint_snf(adj) == args.phi
-    return Report(
-        command="adjoint",
-        inputs={"phi": args.phi.label()},
-        results={"adjoint": adj.label(), "involution_ok": involution_ok},
-        ok=involution_ok,
-    )
+    return {"adjoint": adj.label(), "involution_ok": involution_ok}, {}, involution_ok
 
 
-def cmd_sandwich(args) -> Report:
-    f1 = parse_matrix(args.F1)
-    f2 = parse_matrix(args.F2)
+@command("sandwich", "rank-k norm equivalence bounds", ["F1", "F2"],
+         phi=PHI, k=dict(type=positive_int, required=True))
+def cmd_sandwich(args, f1, f2):
     res = norming.rank_sandwich_check(args.phi, args.k, f1, f2)
-    return Report(
-        command="sandwich",
-        inputs={"F1": args.F1, "F2": args.F2, "phi": args.phi.label(), "k": args.k},
-        results={
-            "lower_ok": res.lower_ok,
-            "upper_ok": res.upper_ok,
-            "operator_dist": res.operator_dist,
-            "ideal_dist": res.ideal_dist,
-        },
-        tolerances={"slack": 1e-9},
-        ok=res.lower_ok and res.upper_ok,
-    )
+    results = {
+        "lower_ok": res.lower_ok,
+        "upper_ok": res.upper_ok,
+        "operator_dist": res.operator_dist,
+        "ideal_dist": res.ideal_dist,
+    }
+    return results, {"slack": 1e-9}, res.lower_ok and res.upper_ok
 
 
-def cmd_pi_regularity(args) -> Report:
-    pi = norming.PiSequence("power", alpha=args.alpha, horizon=args.horizon)
-    res = norming.pi_regularity(pi)
-    return Report(
-        command="pi-regularity",
-        inputs={"alpha": args.alpha, "horizon": args.horizon},
-        results={
-            "sup_over_horizon": res.sup_over_horizon,
-            "monotone_tail": res.monotone_tail,
-            "final_ratio": float(res.ratios[-1]),
-        },
-    )
+@command("pi-regularity", "regularity ratios of a power weight sequence",
+         alpha=dict(type=power_alpha, default=0.5),
+         horizon=dict(type=positive_int, default=100_000))
+def cmd_pi_regularity(args):
+    res = norming.pi_regularity(norming.PiSequence("power", alpha=args.alpha, horizon=args.horizon))
+    results = {
+        "sup_over_horizon": res.sup_over_horizon,
+        "monotone_tail": res.monotone_tail,
+        "final_ratio": float(res.ratios[-1]),
+    }
+    return results, {}, True
 
 
-def cmd_support(args) -> Report:
-    rho = parse_matrix(args.rho)
-    phi = states.DensityFunctional(rho)
-    p = states.support_projection(phi)
+@command("support", "support projection of a PSD density", ["rho"],
+         samples=dict(type=positive_int, default=20), seed=SEED)
+def cmd_support(args, rho):
+    p = states.support_projection(states.DensityFunctional(rho))
     rng = np.random.default_rng(args.seed)
     n = p.shape[0]
     worst = 0.0
@@ -206,42 +233,32 @@ def cmd_support(args) -> Report:
         worst = max(worst, abs(np.trace(rho @ x) - np.trace(rho @ p @ x @ p)))
     idem = spectral_norm(p @ p - p)
     ok = worst <= 1e-8 * max(1.0, spectral_norm(rho)) and idem <= 1e-10
-    return Report(
-        command="support",
-        inputs={"rho": args.rho, "samples": args.samples, "seed": args.seed},
-        results={
-            "rank": int(round(np.trace(p).real)),
-            "idempotency_residual": idem,
-            "reproduction_residual": worst,
-        },
-        tolerances={"reproduction": 1e-8, "idempotency": 1e-10},
-        ok=ok,
-    )
+    results = {
+        "rank": int(round(np.trace(p).real)),
+        "idempotency_residual": idem,
+        "reproduction_residual": worst,
+    }
+    return results, {"reproduction": 1e-8, "idempotency": 1e-10}, ok
 
 
-def cmd_jordan(args) -> Report:
-    rho = parse_matrix(args.rho)
+@command("jordan", "orthogonal-support positive split of a density", ["rho"])
+def cmd_jordan(args, rho):
     phi = states.DensityFunctional(rho)
     pair = states.jordan_decompose(phi)
     recon = spectral_norm(pair.positive_part - pair.negative_part - phi.rho)
     orth = spectral_norm(pair.support_pos @ pair.support_neg)
-    ok = recon <= 1e-10 and orth <= 1e-10
-    return Report(
-        command="jordan",
-        inputs={"rho": args.rho},
-        results={
-            "reconstruction_residual": recon,
-            "support_orthogonality": orth,
-            "positive_rank": int(round(np.trace(pair.support_pos).real)),
-            "negative_rank": int(round(np.trace(pair.support_neg).real)),
-        },
-        tolerances={"reconstruction": 1e-10, "orthogonality": 1e-10},
-        ok=ok,
-    )
+    results = {
+        "reconstruction_residual": recon,
+        "support_orthogonality": orth,
+        "positive_rank": int(round(np.trace(pair.support_pos).real)),
+        "negative_rank": int(round(np.trace(pair.support_neg).real)),
+    }
+    tolerances = {"reconstruction": 1e-10, "orthogonality": 1e-10}
+    return results, tolerances, recon <= 1e-10 and orth <= 1e-10
 
 
-def cmd_centralizer(args) -> Report:
-    rho = parse_matrix(args.rho)
+@command("centralizer", "commutant basis of a density", ["rho"])
+def cmd_centralizer(args, rho):
     phi = states.DensityFunctional(rho)
     basis = states.centralizer_basis(phi)
     worst = max(
@@ -249,37 +266,21 @@ def cmd_centralizer(args) -> Report:
     )
     expected = orbits.isotropy_dimension(phi.rho)
     ok = len(basis) == expected and worst <= 1e-10 * max(1.0, spectral_norm(rho))
-    return Report(
-        command="centralizer",
-        inputs={"rho": args.rho},
-        results={
-            "dimension": len(basis),
-            "expected_dimension": expected,
-            "max_commutator": worst,
-        },
-        tolerances={"commutator": 1e-10},
-        ok=ok,
-    )
+    results = {"dimension": len(basis), "expected_dimension": expected, "max_commutator": worst}
+    return results, {"commutator": 1e-10}, ok
 
 
-def cmd_faithful(args) -> Report:
-    rho = parse_matrix(args.rho)
+@command("faithful", "strict positivity of a density", ["rho"],
+         tol=dict(type=nonnegative_float, default=1e-12))
+def cmd_faithful(args, rho):
     phi = states.DensityFunctional(rho)
     w = np.linalg.eigvalsh(phi.rho)
-    return Report(
-        command="faithful",
-        inputs={"rho": args.rho, "tol": args.tol},
-        results={
-            "faithful": states.is_faithful(phi, args.tol),
-            "min_eigenvalue": float(w[0]),
-        },
-        tolerances={"tol": args.tol},
-    )
+    results = {"faithful": states.is_faithful(phi, args.tol), "min_eigenvalue": float(w[0])}
+    return results, {"tol": args.tol}, True
 
 
-def cmd_pinch(args) -> Report:
-    t = parse_matrix(args.T)
-    s = parse_matrix(args.S)
+@command("pinch", "block-diagonal compression along spectral blocks", ["T", "S"])
+def cmd_pinch(args, t, s):
     e = orbits.pinching(t, s)
     idem = spectral_norm(orbits.pinching(t, e) - e)
     comm = spectral_norm(t @ e - e @ t)
@@ -287,69 +288,49 @@ def cmd_pinch(args) -> Report:
         norming.op_norm(phi, e) - norming.op_norm(phi, s) for phi in _phi_set()
     )
     ok = idem <= 1e-10 and comm <= 1e-9 * max(1.0, spectral_norm(t)) and excess <= 1e-9
-    return Report(
-        command="pinch",
-        inputs={"T": args.T, "S": args.S},
-        results={
-            "idempotency_residual": idem,
-            "commutation_residual": comm,
-            "contraction_max_excess": excess,
-        },
-        tolerances={"idempotency": 1e-10, "commutation": 1e-9, "contraction": 1e-9},
-        ok=ok,
-    )
+    results = {
+        "idempotency_residual": idem,
+        "commutation_residual": comm,
+        "contraction_max_excess": excess,
+    }
+    return results, {"idempotency": 1e-10, "commutation": 1e-9, "contraction": 1e-9}, ok
 
 
-def cmd_split(args) -> Report:
-    t = parse_matrix(args.T)
+@command("split", "kernel/range splitting of ad T on skew matrices", ["T"])
+def cmd_split(args, t):
     res = orbits.kernel_range_split(t)
     n = t.shape[0]
     kd, rd = len(res.kernel_basis), len(res.range_basis)
-    ok = res.residual <= 1e-9 and kd + rd == n * n
-    return Report(
-        command="split",
-        inputs={"T": args.T},
-        results={
-            "kernel_dim": kd,
-            "range_dim": rd,
-            "total_dim": kd + rd,
-            "ambient_dim": n * n,
-            "residual": res.residual,
-        },
-        tolerances={"residual": 1e-9},
-        ok=ok,
-    )
+    results = {
+        "kernel_dim": kd,
+        "range_dim": rd,
+        "total_dim": kd + rd,
+        "ambient_dim": n * n,
+        "residual": res.residual,
+    }
+    return results, {"residual": 1e-9}, res.residual <= 1e-9 and kd + rd == n * n
 
 
-def cmd_omega(args) -> Report:
-    t = parse_matrix(args.T)
-    x = parse_matrix(args.X)
-    y = parse_matrix(args.Y)
-    return Report(
-        command="omega",
-        inputs={"T": args.T, "X": args.X, "Y": args.Y},
-        results={"value": symplectic.omega(t, x, y)},
-    )
+@command("omega", "orbit 2-form Tr(T[X,Y])", ["T", "X", "Y"])
+def cmd_omega(args, t, x, y):
+    return {"value": symplectic.omega(t, x, y)}, {}, True
 
 
-def cmd_radical(args) -> Report:
-    t = parse_matrix(args.T)
+@command("radical", "radical of the orbit form vs isotropy dimension", ["T"],
+         samples=dict(type=positive_int, default=100), seed=SEED)
+def cmd_radical(args, t):
     res = symplectic.radical_check(t, sample_count=args.samples, seed=args.seed)
-    return Report(
-        command="radical",
-        inputs={"T": args.T, "samples": args.samples, "seed": args.seed},
-        results={
-            "radical_dim": res.radical_dim,
-            "isotropy_dim": res.isotropy_dim,
-            "match": res.match,
-            "sampled_pairing_max": res.sampled_pairing_max,
-        },
-        ok=res.match,
-    )
+    results = {
+        "radical_dim": res.radical_dim,
+        "isotropy_dim": res.isotropy_dim,
+        "match": res.match,
+        "sampled_pairing_max": res.sampled_pairing_max,
+    }
+    return results, {}, res.match
 
 
-def cmd_polarization(args) -> Report:
-    t = parse_matrix(args.T)
+@command("polarization", "half-space polarization and its properties", ["T"], seed=SEED)
+def cmd_polarization(args, t):
     mask = symplectic.polarization(t)
     props = symplectic.polarization_properties(t, mask, seed=args.seed)
     ok = (
@@ -358,98 +339,70 @@ def cmd_polarization(args) -> Report:
         and props.dim_sum == props.dim_ambient
         and props.complemented
     )
-    return Report(
-        command="polarization",
-        inputs={"T": args.T, "seed": args.seed},
-        results={
-            "mask": [list(p) for p in mask.mask],
-            "block_thetas": list(mask.thetas),
-            "multiplicities": list(mask.multiplicities),
-            "dim_p": props.dim_p,
-            "dim_intersection": props.dim_intersection,
-            "dim_intersection_expected": props.dim_intersection_expected,
-            "dim_sum": props.dim_sum,
-            "dim_ambient": props.dim_ambient,
-            "commutation_residual": props.commutation_residual,
-        },
-        tolerances={"span_containment": 1e-9},
-        ok=ok,
-    )
+    results = {
+        "mask": [list(p) for p in mask.mask],
+        "block_thetas": list(mask.thetas),
+        "multiplicities": list(mask.multiplicities),
+        "dim_p": props.dim_p,
+        "dim_intersection": props.dim_intersection,
+        "dim_intersection_expected": props.dim_intersection_expected,
+        "dim_sum": props.dim_sum,
+        "dim_ambient": props.dim_ambient,
+        "commutation_residual": props.commutation_residual,
+    }
+    return results, {"span_containment": 1e-9}, ok
 
 
-def cmd_kahler_check(args) -> Report:
-    t = parse_matrix(args.T)
+@command("kahler-check", "isotropy and positivity of the polarization", ["T"],
+         samples=dict(type=positive_int, default=200), seed=SEED)
+def cmd_kahler_check(args, t):
     res = symplectic.kaehler_check(t, sample_count=args.samples, seed=args.seed)
     ok = res.isotropy_max_abs <= 1e-9 * res.scale and res.positivity_min >= -1e-9 * res.scale
-    return Report(
-        command="kahler-check",
-        inputs={"T": args.T, "samples": args.samples, "seed": args.seed},
-        results={
-            "isotropy_max_abs": res.isotropy_max_abs,
-            "positivity_min": res.positivity_min,
-            "scale": res.scale,
-        },
-        tolerances={"isotropy": 1e-9, "positivity_floor": -1e-9},
-        ok=ok,
-    )
+    results = {
+        "isotropy_max_abs": res.isotropy_max_abs,
+        "positivity_min": res.positivity_min,
+        "scale": res.scale,
+    }
+    return results, {"isotropy": 1e-9, "positivity_floor": -1e-9}, ok
 
 
-def cmd_projective_compare(args) -> Report:
-    x0 = parse_matrix(args.x0).ravel()
-    a1 = parse_matrix(args.a1)
-    a2 = parse_matrix(args.a2)
-    res = symplectic.projective_form_compare(x0, a1, a2)
-    return Report(
-        command="projective-compare",
-        inputs={"x0": args.x0, "a1": args.a1, "a2": args.a2},
-        results={
-            "orbit_form": res.orbit_form,
-            "geometric_form": res.geometric_form,
-            "abs_match": res.abs_match,
-        },
-        tolerances={"abs_match": 1e-9},
-        ok=res.abs_match,
-    )
+@command("projective-compare", "orbit form vs projective-space form", ["x0", "a1", "a2"])
+def cmd_projective_compare(args, x0, a1, a2):
+    res = symplectic.projective_form_compare(x0.ravel(), a1, a2)
+    results = {
+        "orbit_form": res.orbit_form,
+        "geometric_form": res.geometric_form,
+        "abs_match": res.abs_match,
+    }
+    return results, {"abs_match": 1e-9}, res.abs_match
 
 
-def cmd_orbit_sample(args) -> Report:
-    t = parse_matrix(args.T)
+@command("orbit-sample", "random unitary conjugates of a reference", ["T"],
+         count=dict(type=positive_int, default=5), scale=dict(type=float, default=0.2), seed=SEED,
+         out=dict(help="write samples to OUT<k>.json", report=False))
+def cmd_orbit_sample(args, t):
     samples = orbits.orbit_sample(t, args.count, args.scale, args.seed)
-    dev = 0.0
-    w0 = orbits.normal_frame(t, 0.0).values
-    for s in samples:
-        ws = orbits.normal_frame(s, 0.0).values
-        dev = max(dev, float(np.max(np.abs(ws - w0))))
+    dev = max((orbits.eigenvalue_deviation(t, s) for s in samples), default=0.0)
     ok = dev <= 1e-9 * max(1.0, spectral_norm(t))
     if args.out:
         for k, s in enumerate(samples):
             write_matrix(s, f"{args.out}{k}.json")
-    return Report(
-        command="orbit-sample",
-        inputs={"T": args.T, "count": args.count, "scale": args.scale, "seed": args.seed},
-        results={"count": len(samples), "max_signature_deviation": dev, "leaf_preserved": ok},
-        tolerances={"signature": 1e-9},
-        ok=ok,
-    )
+    results = {"count": len(samples), "max_signature_deviation": dev, "leaf_preserved": ok}
+    return results, {"signature": 1e-9}, ok
 
 
-def cmd_leaf_compare(args) -> Report:
-    a = parse_matrix(args.A)
-    b = parse_matrix(args.B)
+@command("leaf-compare", "are two matrices on the same orbit", ["A", "B"],
+         tol=dict(type=nonnegative_float, default=1e-9))
+def cmd_leaf_compare(args, a, b):
     dev = orbits.eigenvalue_deviation(a, b)
     same = dev <= args.tol
-    return Report(
-        command="leaf-compare",
-        inputs={"A": args.A, "B": args.B, "tol": args.tol},
-        results={"same_leaf": same, "max_eigenvalue_deviation": dev},
-        tolerances={"tol": args.tol},
-        ok=same,
-    )
+    return {"same_leaf": same, "max_eigenvalue_deviation": dev}, {"tol": args.tol}, same
 
 
-def cmd_cross_section(args) -> Report:
-    t = parse_matrix(args.T)
-    v = parse_matrix(args.V)
+@command("cross-section", "canonical unitary over an orbit point", ["T", "V"],
+         tol=dict(type=nonnegative_float, default=1e-8, report=False),
+         corner_tol=dict(type=float, default=cs.CORNER_TOL, report=False))
+def cmd_cross_section(args, t, v):
     ref = cs.build_reference(t)
     res = cs.cross_section_phi(ref, v, corner_tol=args.corner_tol)
     n = t.shape[0]
@@ -460,40 +413,26 @@ def cmd_cross_section(args) -> Report:
         and unitary_defect <= 1e-9
         and psi_comm <= 1e-9 * max(1.0, spectral_norm(t))
     )
-    return Report(
-        command="cross-section",
-        inputs={"T": args.T, "V": args.V},
-        results={
-            "residual": res.residual,
-            "corner_min_sv": res.corner_min_sv,
-            "phi": res.phi,
-            "phi_unitary_defect": unitary_defect,
-            "psi_commutation": psi_comm,
-        },
-        tolerances={"residual": args.tol, "corner": args.corner_tol, "unitary": 1e-9},
-        ok=ok,
-    )
+    results = {
+        "residual": res.residual,
+        "corner_min_sv": res.corner_min_sv,
+        "phi": res.phi,
+        "phi_unitary_defect": unitary_defect,
+        "psi_commutation": psi_comm,
+    }
+    return results, {"residual": args.tol, "corner": args.corner_tol, "unitary": 1e-9}, ok
 
 
-def cmd_well_defined(args) -> Report:
-    t = parse_matrix(args.T)
-    v = parse_matrix(args.V)
-    g = parse_matrix(args.G)
-    ref = cs.build_reference(t)
-    dev = cs.well_definedness_check(ref, v, g)
-    ok = dev <= 1e-8
-    return Report(
-        command="well-defined",
-        inputs={"T": args.T, "V": args.V, "G": args.G},
-        results={"deviation": dev},
-        tolerances={"deviation": 1e-8},
-        ok=ok,
-    )
+@command("well-defined", "section independence of the unitary representative", ["T", "V", "G"])
+def cmd_well_defined(args, t, v, g):
+    dev = cs.well_definedness_check(cs.build_reference(t), v, g)
+    return {"deviation": dev}, {"deviation": 1e-8}, dev <= 1e-8
 
 
-def cmd_continuity(args) -> Report:
-    t = parse_matrix(args.T)
-    a = parse_matrix(args.A)
+@command("continuity", "section continuity along a shrinking path", ["T", "A"],
+         phi=dict(type=parse_phi_spec, default="schatten:1"),
+         steps=dict(type=positive_int, default=20))
+def cmd_continuity(args, t, a):
     ref = cs.build_reference(t)
     vs = [matrix_exp(2.0 ** (-k) * a) for k in range(1, args.steps + 1)]
     records = cs.continuity_modulus(ref, args.phi, vs)
@@ -508,38 +447,25 @@ def cmd_continuity(args) -> Report:
                     violations += 1
     trend_ok = violations <= 0.05 * pairs if pairs else True
     limit_ok = (ops[-1] > 1e-8) or (phis[-1] <= 1e-6)
-    return Report(
-        command="continuity",
-        inputs={"T": args.T, "A": args.A, "phi": args.phi.label(), "steps": args.steps},
-        results={
-            "op_dists": ops,
-            "phi_dists": phis,
-            "final_op_dist": ops[-1],
-            "final_phi_dist": phis[-1],
-            "trend_violation_fraction": (violations / pairs) if pairs else 0.0,
-        },
-        tolerances={"trend_fraction": 0.05, "final_phi": 1e-6, "final_op": 1e-8},
-        ok=trend_ok and limit_ok,
-    )
+    results = {
+        "op_dists": ops,
+        "phi_dists": phis,
+        "final_op_dist": ops[-1],
+        "final_phi_dist": phis[-1],
+        "trend_violation_fraction": (violations / pairs) if pairs else 0.0,
+    }
+    tolerances = {"trend_fraction": 0.05, "final_phi": 1e-6, "final_op": 1e-8}
+    return results, tolerances, trend_ok and limit_ok
 
 
-def cmd_offdiag_bound(args) -> Report:
-    t = parse_matrix(args.T)
-    w = parse_matrix(args.W)
-    ref = cs.build_reference(t)
-    res = cs.offdiag_bound_check(ref, args.phi, w)
-    ok = res.max_violation <= 1e-9
-    return Report(
-        command="offdiag-bound",
-        inputs={"T": args.T, "W": args.W, "phi": args.phi.label()},
-        results={"max_violation": res.max_violation},
-        tolerances={"violation": 1e-9},
-        ok=ok,
-    )
+@command("offdiag-bound", "gap-weighted bound on off-diagonal compressions", ["T", "W"], phi=PHI)
+def cmd_offdiag_bound(args, t, w):
+    res = cs.offdiag_bound_check(cs.build_reference(t), args.phi, w)
+    return {"max_violation": res.max_violation}, {"violation": 1e-9}, res.max_violation <= 1e-9
 
 
-def cmd_minpoly(args) -> Report:
-    t = parse_matrix(args.T)
+@command("minpoly", "monic annihilating polynomial of the clustered spectrum", ["T"], tol=TOL)
+def cmd_minpoly(args, t):
     poly = cs.minimal_polynomial(t, args.tol)
     roots = poly.roots()
     n = t.shape[0]
@@ -549,29 +475,18 @@ def cmd_minpoly(args) -> Report:
     tol = args.tol if args.tol is not None else default_cluster_tol(t)
     bound = tol * (1.0 + spectral_norm(t)) ** poly.degree()
     residual = spectral_norm(value)
-    ok = residual <= bound
-    return Report(
-        command="minpoly",
-        inputs={"T": args.T, "tol": args.tol},
-        results={
-            "coefficients": [float(c) for c in poly.coef],
-            "degree": int(poly.degree()),
-            "annihilation_residual": residual,
-            "bound": bound,
-        },
-        tolerances={"annihilation": bound},
-        ok=ok,
-    )
+    results = {
+        "coefficients": [float(c) for c in poly.coef],
+        "degree": int(poly.degree()),
+        "annihilation_residual": residual,
+        "bound": bound,
+    }
+    return results, {"annihilation": bound}, residual <= bound
 
 
-def cmd_algebra_dim(args) -> Report:
-    t = parse_matrix(args.T)
-    dim = cs.generated_algebra_dimension(t, args.tol)
-    return Report(
-        command="algebra-dim",
-        inputs={"T": args.T, "tol": args.tol},
-        results={"dimension": dim},
-    )
+@command("algebra-dim", "dimension of the algebra generated by T", ["T"], tol=TOL)
+def cmd_algebra_dim(args, t):
+    return {"dimension": cs.generated_algebra_dimension(t, args.tol)}, {}, True
 
 
 # ---------------------------------------------------------------- parser
@@ -584,122 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
         "coadjoint orbits, and local cross-sections of unitary orbit maps.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_):
-        sp = sub.add_parser(name, help=help_)
-        sp.set_defaults(handler=handler)
-        return sp
-
-    sp = add("norm", cmd_norm, "ideal norm of a matrix")
-    sp.add_argument("--phi", type=parse_phi_spec, required=True)
-    sp.add_argument("matrix")
-
-    sp = add("dual-check", cmd_dual_check, "trace-pairing duality bound")
-    sp.add_argument("--phi", type=parse_phi_spec, required=True)
-    sp.add_argument("T")
-    sp.add_argument("S")
-
-    sp = add("adjoint", cmd_adjoint, "closed-form adjoint gauge")
-    sp.add_argument("--phi", type=parse_phi_spec, required=True)
-
-    sp = add("sandwich", cmd_sandwich, "rank-k norm equivalence bounds")
-    sp.add_argument("--phi", type=parse_phi_spec, required=True)
-    sp.add_argument("--k", type=positive_int, required=True)
-    sp.add_argument("F1")
-    sp.add_argument("F2")
-
-    sp = add("pi-regularity", cmd_pi_regularity, "regularity ratios of a power weight sequence")
-    sp.add_argument("--alpha", type=power_alpha, default=0.5)
-    sp.add_argument("--horizon", type=positive_int, default=100_000)
-
-    sp = add("support", cmd_support, "support projection of a PSD density")
-    sp.add_argument("rho")
-    sp.add_argument("--samples", type=positive_int, default=20)
-    sp.add_argument("--seed", type=seed_int)
-
-    sp = add("jordan", cmd_jordan, "orthogonal-support positive split of a density")
-    sp.add_argument("rho")
-
-    sp = add("centralizer", cmd_centralizer, "commutant basis of a density")
-    sp.add_argument("rho")
-
-    sp = add("faithful", cmd_faithful, "strict positivity of a density")
-    sp.add_argument("rho")
-    sp.add_argument("--tol", type=nonnegative_float, default=1e-12)
-
-    sp = add("pinch", cmd_pinch, "block-diagonal compression along spectral blocks")
-    sp.add_argument("T")
-    sp.add_argument("S")
-
-    sp = add("split", cmd_split, "kernel/range splitting of ad T on skew matrices")
-    sp.add_argument("T")
-
-    sp = add("omega", cmd_omega, "orbit 2-form Tr(T[X,Y])")
-    sp.add_argument("T")
-    sp.add_argument("X")
-    sp.add_argument("Y")
-
-    sp = add("radical", cmd_radical, "radical of the orbit form vs isotropy dimension")
-    sp.add_argument("T")
-    sp.add_argument("--samples", type=positive_int, default=100)
-    sp.add_argument("--seed", type=seed_int)
-
-    sp = add("polarization", cmd_polarization, "half-space polarization and its properties")
-    sp.add_argument("T")
-    sp.add_argument("--seed", type=seed_int)
-
-    sp = add("kahler-check", cmd_kahler_check, "isotropy and positivity of the polarization")
-    sp.add_argument("T")
-    sp.add_argument("--samples", type=positive_int, default=200)
-    sp.add_argument("--seed", type=seed_int)
-
-    sp = add("projective-compare", cmd_projective_compare, "orbit form vs projective-space form")
-    sp.add_argument("x0")
-    sp.add_argument("a1")
-    sp.add_argument("a2")
-
-    sp = add("orbit-sample", cmd_orbit_sample, "random unitary conjugates of a reference")
-    sp.add_argument("T")
-    sp.add_argument("--count", type=positive_int, default=5)
-    sp.add_argument("--scale", type=float, default=0.2)
-    sp.add_argument("--seed", type=seed_int)
-    sp.add_argument("--out", help="write samples to OUT<k>.json")
-
-    sp = add("leaf-compare", cmd_leaf_compare, "are two matrices on the same orbit")
-    sp.add_argument("A")
-    sp.add_argument("B")
-    sp.add_argument("--tol", type=nonnegative_float, default=1e-9)
-
-    sp = add("cross-section", cmd_cross_section, "canonical unitary over an orbit point")
-    sp.add_argument("T")
-    sp.add_argument("V")
-    sp.add_argument("--tol", type=nonnegative_float, default=1e-8)
-    sp.add_argument("--corner-tol", type=float, default=cs.CORNER_TOL)
-
-    sp = add("well-defined", cmd_well_defined, "section independence of the unitary representative")
-    sp.add_argument("T")
-    sp.add_argument("V")
-    sp.add_argument("G")
-
-    sp = add("continuity", cmd_continuity, "section continuity along a shrinking path")
-    sp.add_argument("T")
-    sp.add_argument("A")
-    sp.add_argument("--phi", type=parse_phi_spec, default="schatten:1")
-    sp.add_argument("--steps", type=positive_int, default=20)
-
-    sp = add("offdiag-bound", cmd_offdiag_bound, "gap-weighted bound on off-diagonal compressions")
-    sp.add_argument("T")
-    sp.add_argument("W")
-    sp.add_argument("--phi", type=parse_phi_spec, required=True)
-
-    sp = add("minpoly", cmd_minpoly, "monic annihilating polynomial of the clustered spectrum")
-    sp.add_argument("T")
-    sp.add_argument("--tol", type=nonnegative_float, default=None)
-
-    sp = add("algebra-dim", cmd_algebra_dim, "dimension of the algebra generated by T")
-    sp.add_argument("T")
-    sp.add_argument("--tol", type=nonnegative_float, default=None)
-
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        for file in cmd.files:
+            sp.add_argument(file)
+        for dest, spec in cmd.options.items():
+            spec = {key: value for key, value in spec.items() if key != "report"}
+            sp.add_argument("--" + dest.replace("_", "-"), **spec)
     return p
 
 
@@ -709,8 +515,6 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else USAGE_EXIT
-    if isinstance(getattr(args, "phi", None), str):
-        args.phi = parse_phi_spec(args.phi)
     if getattr(args, "seed", 0) is None:
         env = os.environ.get("LEAFKIT_SEED", "0")
         try:
@@ -718,18 +522,17 @@ def run_command(argv) -> int:
         except (ValueError, argparse.ArgumentTypeError):
             print(f"leafkit: LEAFKIT_SEED: expected an integer >= 0, got {env!r}", file=sys.stderr)
             return USAGE_EXIT
+    cmd = COMMANDS[args.command]
+    report = Report(command=args.command, inputs=_inputs(cmd, args))
     try:
-        report = args.handler(args)
-    except (ParseError, ShapeError) as exc:
+        matrices = [parse_matrix(getattr(args, name)) for name in cmd.files]
+        report.results, report.tolerances, report.ok = cmd.handler(args, *matrices)
+    except (ParseError, ShapeError, OSError) as exc:  # OSError: an --out file cannot be written
         print(f"leafkit: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except PreconditionError as exc:
-        report = Report(
-            command=args.command,
-            inputs={},
-            results={"error": type(exc).__name__, "message": str(exc)},
-            ok=False,
-        )
+        report.results = {"error": type(exc).__name__, "message": str(exc)}
+        report.ok = False
         print(emit_report(report))
         print(f"leafkit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return PRECONDITION_EXIT

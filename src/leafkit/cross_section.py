@@ -202,7 +202,8 @@ def well_definedness_check(ref: ReferenceOperator, v, g) -> float:
     both products represent the same orbit point, so the deviation is
     roundoff only."""
     vm = require_unitary(v, name="V")
-    gm = require_unitary(g, name="V")
+    require_same_size(ref.T, vm)
+    gm = require_unitary(g, name="G")
     require_same_size(vm, gm)
     comm = gm @ ref.T - ref.T @ gm
     if defect_exceeds(comm, 1e-10, ref.T):
@@ -234,6 +235,7 @@ def continuity_modulus(
     eye = np.eye(n)
     for v in v_sequence:
         vm = require_unitary(v, name="V")
+        require_same_size(ref.T, vm)
         op_dist = spectral_norm(vm.conj().T @ ref.T @ vm - ref.T)
         phi = _psi(ref, vm)[0] @ vm
         records.append(
@@ -254,7 +256,7 @@ def offdiag_bound_check(ref: ReferenceOperator, phi_norm: NormingFunctionSpec, w
 
     E_i W E_j = B_i (B_i* W B_j) B_j* has the nonzero singular values of
     its m_i x m_j core B_i* W B_j, so each norm is taken on the core."""
-    wm = require_unitary(w, name="V")
+    wm = require_unitary(w, name="W")
     require_same_size(ref.T, wm)
     lams = ref.eigenvalues
     if len(lams) < 2:

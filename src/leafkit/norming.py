@@ -23,7 +23,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import RankTooHigh, UnsupportedKind
-from .opcore import as_matrix, function_calculus, require_same_size, singular_values, spectral_norm
+from .opcore import (
+    as_matrix,
+    function_calculus,
+    require_same_size,
+    require_square,
+    singular_values,
+    spectral_norm,
+)
 
 RANK_REL_TOL = 1e-10
 
@@ -266,8 +273,8 @@ def duality_gap(phi: NormingFunctionSpec, t, s) -> DualityGap:
 
     gap = bound - |pairing| is nonnegative up to 1e-9 roundoff.
     """
-    tm = as_matrix(t, "T")
-    sm = as_matrix(s, "S")
+    tm = require_square(t, "T")
+    sm = require_square(s, "S")
     require_same_size(tm, sm)
     pairing = complex(np.trace(tm @ sm))
     bound = op_norm(adjoint_snf(phi), tm) * op_norm(phi, sm)

@@ -19,6 +19,7 @@ from .opcore import (
     as_matrix,
     hermitian_defect,
     is_hermitian,
+    require_square,
     require_unitary,
     spectral_norm,
 )
@@ -35,7 +36,7 @@ class DensityFunctional:
     herm_tol: float = 1e-10
 
     def __post_init__(self):
-        m = as_matrix(self.rho, "rho")
+        m = require_square(self.rho, "rho")
         if not is_hermitian(m, self.herm_tol):
             raise NotHermitian(f"density defect {hermitian_defect(m):.3e} exceeds herm_tol")
         object.__setattr__(self, "rho", 0.5 * (m + m.conj().T))

@@ -85,8 +85,8 @@ def omega(t, x, y) -> float:
     A Hermitian reference is accepted and read as its skew partner iT;
     X and Y must be genuinely skew-Hermitian."""
     tm = _as_skew(t)
-    xm = as_matrix(x, "X")
-    ym = as_matrix(y, "Y")
+    xm = require_square(x, "X")
+    ym = require_square(y, "Y")
     for name, m in (("X", xm), ("Y", ym)):
         if not is_skew_hermitian(m):
             raise NotSkewHermitian(f"{name}: expected a skew-Hermitian matrix")

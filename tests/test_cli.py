@@ -373,13 +373,36 @@ class TestExitCodes:
         assert code == 3
         assert report["pass"] is False
         assert report["results"]["error"] == "CornerSingular"
+        assert report["inputs"] == {"T": t, "V": v}
+
+    def test_unwritable_out_exits_2(self, capsys, workdir):
+        tmp, put = workdir
+        t = put("t.json", np.diag([1.0, 2.0]))
+        prefix = str(tmp / "missing_dir" / "x_")
+        code = run_command(["orbit-sample", t, "--count", "2", "--out", prefix])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("leafkit: ") and err.count("\n") == 1
+        assert prefix + "0.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["support", "R"], ["jordan", "R"], ["centralizer", "R"], ["faithful", "R"],
+        ["omega", "T", "R", "T"], ["dual-check", "--phi", "max", "R", "R"],
+    ], ids=lambda a: a[0])
+    def test_non_square_file_exits_2(self, capsys, workdir, argv):
+        _, put = workdir
+        paths = {"R": put("r.json", np.arange(6.0).reshape(2, 3)), "T": put("t.json", np.diag([1.0, 2.0]))}
+        code = run_command([paths.get(a, a) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "expected a square matrix, got shape (2, 3)" in err and "Traceback" not in err
 
     @staticmethod
     def _raise_from_handler(monkeypatch, kind):
         def handler(args):
             raise kind("input outside the contract")
 
-        monkeypatch.setattr(cli, "cmd_adjoint", handler)
+        monkeypatch.setattr(cli.COMMANDS["adjoint"], "handler", handler)
 
     def test_every_precondition_error_exits_3(self, capsys, monkeypatch):
         kinds, todo = [], [PreconditionError]

@@ -463,6 +463,24 @@ class TestCrossSectionEdgeCases:
         with pytest.raises(NotUnitary):
             psi_map(ref, np.diag([2.0, 1.0]))
 
+    def test_gates_name_their_operand(self):
+        from leafkit.errors import ShapeError
+
+        ref = build_reference(np.diag([1.0, 2.0]).astype(complex))
+        with pytest.raises(ShapeError, match="^G: expected a 2-D array, got ndim=1$"):
+            well_definedness_check(ref, np.eye(2), np.ones(2))
+        with pytest.raises(ShapeError, match="^W: expected a 2-D array, got ndim=1$"):
+            offdiag_bound_check(ref, schatten(1), np.ones(2))
+
+    def test_wrong_size_unitary_is_a_precondition(self):
+        from leafkit.errors import SizeMismatch
+
+        ref = build_reference(np.diag([1.0, 2.0]).astype(complex))
+        with pytest.raises(SizeMismatch):
+            well_definedness_check(ref, np.eye(3), np.eye(3))
+        with pytest.raises(SizeMismatch):
+            continuity_modulus(ref, schatten(1), [np.eye(3)])
+
     def test_scalar_reference_section_is_trivial(self, rng):
         ref = build_reference(1.5 * np.eye(3))
         v = matrix_exp(0.4 * random_skew(3, rng))
