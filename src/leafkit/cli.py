@@ -23,25 +23,36 @@ argument is a matrix file; ``files`` names them in order, and each option
 the files, calls ``handler(args, *matrices)`` for ``(results, tolerances,
 ok)``, and echoes the file paths and options as the report's ``inputs``
 (norming functions by label); an option spec with ``report=False`` is
-left out of them.
+left out of them.  A handler imports the leafkit modules it calls when
+it runs, so one process loads only what its subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import cross_section as cs
-from . import norming, orbits, states, symplectic
 from .errors import ParseError, PreconditionError, ShapeError
-from .matrixio import matrix_to_obj, parse_matrix, write_matrix
-from .opcore import default_cluster_tol, matrix_exp, singular_values, spectral_norm
+from .matrixio import indented_matrix_text, matrix_to_obj, parse_matrix, write_matrix
+from .opcore import (
+    CORNER_TOL,
+    default_cluster_tol,
+    matrix_exp,
+    require_same_size,
+    require_square,
+    singular_values,
+    spectral_norm,
+)
+
+if TYPE_CHECKING:
+    from .norming import NormingFunctionSpec
 
 PRECONDITION_EXIT = 3
 CONTRACT_EXIT = 1
@@ -76,7 +87,18 @@ def _json_default(value):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+# stands in for each matrix while json.dumps lays out the rest of a report;
+# no report string can hold it, since a NUL reaches none through argv
+_MATRIX_SLOT = "\0matrix\0"
+
+
 def emit_report(report: Report) -> str:
+    """The report as json.dumps(..., sort_keys=True, indent=2) writes it.
+
+    json.dumps lays out the skeleton with a slot for each nonempty matrix,
+    and indented_matrix_text fills the slots.  With an indent, json.dumps
+    runs its pure-Python encoder, which would visit every matrix entry in
+    Python."""
     obj = {
         "command": report.command,
         "inputs": report.inputs,
@@ -84,12 +106,27 @@ def emit_report(report: Report) -> str:
         "tolerances": report.tolerances,
         "pass": bool(report.ok),
     }
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+    matrices = []
+
+    def default(value):
+        if isinstance(value, np.ndarray) and value.ndim == 2 and value.size:
+            matrices.append(value)
+            return _MATRIX_SLOT
+        return _json_default(value)
+
+    parts = json.dumps(obj, sort_keys=True, indent=2, default=default).split(json.dumps(_MATRIX_SLOT))
+    out = []
+    for part, a in zip(parts, matrices):
+        line = part[part.rfind("\n") + 1 :]
+        out += [part, indented_matrix_text(a, " " * (len(line) - len(line.lstrip(" "))))]
+    out.append(parts[-1])
+    return "".join(out)
 
 
-def parse_phi_spec(spec: str) -> norming.NormingFunctionSpec:
+def parse_phi_spec(spec: str) -> NormingFunctionSpec:
     """Parse a norming-function spec string: schatten:p (p a number or
     'inf'), lorentz:power:alpha, lorentz-dual:power:alpha, sum, max."""
+    from . import norming
     if spec == "sum":
         return norming.sum_norm()
     if spec == "max":
@@ -126,8 +163,15 @@ def _ranged(kind, name: str, accept, rule: str):
 
 positive_int = _ranged(int, "positive_int", lambda v: v >= 1, "an integer >= 1")
 seed_int = _ranged(int, "seed_int", lambda v: v >= 0, "an integer >= 0")
-nonnegative_float = _ranged(float, "nonnegative_float", lambda v: v >= 0.0, "a number >= 0")
+finite_float = _ranged(float, "finite_float", math.isfinite, "a finite number")
+nonnegative_float = _ranged(float, "nonnegative_float", lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 power_alpha = _ranged(float, "power_alpha", lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
+
+
+def _within(value: float, tol: float, m: np.ndarray) -> bool:
+    """Whether value <= tol * max(1, ||m||).  The norm of m, an SVD, is
+    taken only when value > tol."""
+    return value <= tol or value <= tol * spectral_norm(m)
 
 
 def _phi_set():
@@ -167,9 +211,7 @@ def _inputs(cmd: Command, args) -> dict:
     for dest, spec in cmd.options.items():
         if spec.get("report", True):
             value = getattr(args, dest)
-            if isinstance(value, norming.NormingFunctionSpec):
-                value = value.label()
-            inputs[dest] = value
+            inputs[dest] = value.label() if spec.get("type") is parse_phi_spec else value
     return inputs
 
 
@@ -178,11 +220,13 @@ def _inputs(cmd: Command, args) -> dict:
 
 @command("norm", "ideal norm of a matrix", ["matrix"], phi=PHI)
 def cmd_norm(args, a):
+    from . import norming
     return {"norm": norming.op_norm(args.phi, a), "singular_values": singular_values(a)}, {}, True
 
 
 @command("dual-check", "trace-pairing duality bound", ["T", "S"], phi=PHI)
 def cmd_dual_check(args, t, s):
+    from . import norming
     res = norming.duality_gap(args.phi, t, s)
     results = {"pairing": res.pairing, "bound": res.bound, "gap": res.gap}
     return results, {"gap_floor": -1e-9}, res.gap >= -1e-9
@@ -190,6 +234,7 @@ def cmd_dual_check(args, t, s):
 
 @command("adjoint", "closed-form adjoint gauge", phi=PHI)
 def cmd_adjoint(args):
+    from . import norming
     adj = norming.adjoint_snf(args.phi)
     involution_ok = norming.adjoint_snf(adj) == args.phi
     return {"adjoint": adj.label(), "involution_ok": involution_ok}, {}, involution_ok
@@ -198,6 +243,7 @@ def cmd_adjoint(args):
 @command("sandwich", "rank-k norm equivalence bounds", ["F1", "F2"],
          phi=PHI, k=dict(type=positive_int, required=True))
 def cmd_sandwich(args, f1, f2):
+    from . import norming
     res = norming.rank_sandwich_check(args.phi, args.k, f1, f2)
     results = {
         "lower_ok": res.lower_ok,
@@ -212,6 +258,7 @@ def cmd_sandwich(args, f1, f2):
          alpha=dict(type=power_alpha, default=0.5),
          horizon=dict(type=positive_int, default=100_000))
 def cmd_pi_regularity(args):
+    from . import norming
     res = norming.pi_regularity(norming.PiSequence("power", alpha=args.alpha, horizon=args.horizon))
     results = {
         "sup_over_horizon": res.sup_over_horizon,
@@ -224,6 +271,7 @@ def cmd_pi_regularity(args):
 @command("support", "support projection of a PSD density", ["rho"],
          samples=dict(type=positive_int, default=20), seed=SEED)
 def cmd_support(args, rho):
+    from . import states
     p = states.support_projection(states.DensityFunctional(rho))
     rng = np.random.default_rng(args.seed)
     n = p.shape[0]
@@ -232,7 +280,7 @@ def cmd_support(args, rho):
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         worst = max(worst, abs(np.trace(rho @ x) - np.trace(rho @ p @ x @ p)))
     idem = spectral_norm(p @ p - p)
-    ok = worst <= 1e-8 * max(1.0, spectral_norm(rho)) and idem <= 1e-10
+    ok = _within(worst, 1e-8, rho) and idem <= 1e-10
     results = {
         "rank": int(round(np.trace(p).real)),
         "idempotency_residual": idem,
@@ -243,6 +291,7 @@ def cmd_support(args, rho):
 
 @command("jordan", "orthogonal-support positive split of a density", ["rho"])
 def cmd_jordan(args, rho):
+    from . import states
     phi = states.DensityFunctional(rho)
     pair = states.jordan_decompose(phi)
     recon = spectral_norm(pair.positive_part - pair.negative_part - phi.rho)
@@ -259,13 +308,14 @@ def cmd_jordan(args, rho):
 
 @command("centralizer", "commutant basis of a density", ["rho"])
 def cmd_centralizer(args, rho):
+    from . import orbits, states
     phi = states.DensityFunctional(rho)
     basis = states.centralizer_basis(phi)
     worst = max(
         (spectral_norm(b @ phi.rho - phi.rho @ b) for b in basis), default=0.0
     )
     expected = orbits.isotropy_dimension(phi.rho)
-    ok = len(basis) == expected and worst <= 1e-10 * max(1.0, spectral_norm(rho))
+    ok = len(basis) == expected and _within(worst, 1e-10, rho)
     results = {"dimension": len(basis), "expected_dimension": expected, "max_commutator": worst}
     return results, {"commutator": 1e-10}, ok
 
@@ -273,6 +323,7 @@ def cmd_centralizer(args, rho):
 @command("faithful", "strict positivity of a density", ["rho"],
          tol=dict(type=nonnegative_float, default=1e-12))
 def cmd_faithful(args, rho):
+    from . import states
     phi = states.DensityFunctional(rho)
     w = np.linalg.eigvalsh(phi.rho)
     results = {"faithful": states.is_faithful(phi, args.tol), "min_eigenvalue": float(w[0])}
@@ -281,13 +332,15 @@ def cmd_faithful(args, rho):
 
 @command("pinch", "block-diagonal compression along spectral blocks", ["T", "S"])
 def cmd_pinch(args, t, s):
-    e = orbits.pinching(t, s)
-    idem = spectral_norm(orbits.pinching(t, e) - e)
+    from . import norming, orbits
+    require_same_size(require_square(t, "T"), require_square(s, "S"))
+    frame = orbits.normal_frame(t, name="T")
+    e = frame.pinch(s)
+    idem = spectral_norm(frame.pinch(e) - e)
     comm = spectral_norm(t @ e - e @ t)
-    excess = max(
-        norming.op_norm(phi, e) - norming.op_norm(phi, s) for phi in _phi_set()
-    )
-    ok = idem <= 1e-10 and comm <= 1e-9 * max(1.0, spectral_norm(t)) and excess <= 1e-9
+    sv_e, sv_s = singular_values(e), singular_values(s)
+    excess = max(norming.eval_snf(phi, sv_e) - norming.eval_snf(phi, sv_s) for phi in _phi_set())
+    ok = idem <= 1e-10 and _within(comm, 1e-9, t) and excess <= 1e-9
     results = {
         "idempotency_residual": idem,
         "commutation_residual": comm,
@@ -298,6 +351,7 @@ def cmd_pinch(args, t, s):
 
 @command("split", "kernel/range splitting of ad T on skew matrices", ["T"])
 def cmd_split(args, t):
+    from . import orbits
     res = orbits.kernel_range_split(t)
     n = t.shape[0]
     kd, rd = len(res.kernel_basis), len(res.range_basis)
@@ -313,12 +367,14 @@ def cmd_split(args, t):
 
 @command("omega", "orbit 2-form Tr(T[X,Y])", ["T", "X", "Y"])
 def cmd_omega(args, t, x, y):
+    from . import symplectic
     return {"value": symplectic.omega(t, x, y)}, {}, True
 
 
 @command("radical", "radical of the orbit form vs isotropy dimension", ["T"],
          samples=dict(type=positive_int, default=100), seed=SEED)
 def cmd_radical(args, t):
+    from . import symplectic
     res = symplectic.radical_check(t, sample_count=args.samples, seed=args.seed)
     results = {
         "radical_dim": res.radical_dim,
@@ -331,6 +387,7 @@ def cmd_radical(args, t):
 
 @command("polarization", "half-space polarization and its properties", ["T"], seed=SEED)
 def cmd_polarization(args, t):
+    from . import symplectic
     mask = symplectic.polarization(t)
     props = symplectic.polarization_properties(t, mask, seed=args.seed)
     ok = (
@@ -356,6 +413,7 @@ def cmd_polarization(args, t):
 @command("kahler-check", "isotropy and positivity of the polarization", ["T"],
          samples=dict(type=positive_int, default=200), seed=SEED)
 def cmd_kahler_check(args, t):
+    from . import symplectic
     res = symplectic.kaehler_check(t, sample_count=args.samples, seed=args.seed)
     ok = res.isotropy_max_abs <= 1e-9 * res.scale and res.positivity_min >= -1e-9 * res.scale
     results = {
@@ -368,6 +426,9 @@ def cmd_kahler_check(args, t):
 
 @command("projective-compare", "orbit form vs projective-space form", ["x0", "a1", "a2"])
 def cmd_projective_compare(args, x0, a1, a2):
+    from . import symplectic
+    if min(x0.shape) != 1:
+        raise ShapeError(f"x0: expected a row or column vector, got shape {x0.shape}")
     res = symplectic.projective_form_compare(x0.ravel(), a1, a2)
     results = {
         "orbit_form": res.orbit_form,
@@ -378,12 +439,14 @@ def cmd_projective_compare(args, x0, a1, a2):
 
 
 @command("orbit-sample", "random unitary conjugates of a reference", ["T"],
-         count=dict(type=positive_int, default=5), scale=dict(type=float, default=0.2), seed=SEED,
+         count=dict(type=positive_int, default=5), scale=dict(type=finite_float, default=0.2), seed=SEED,
          out=dict(help="write samples to OUT<k>.json", report=False))
 def cmd_orbit_sample(args, t):
+    from . import orbits
     samples = orbits.orbit_sample(t, args.count, args.scale, args.seed)
-    dev = max((orbits.eigenvalue_deviation(t, s) for s in samples), default=0.0)
-    ok = dev <= 1e-9 * max(1.0, spectral_norm(t))
+    w = orbits.spectrum(t, "T")
+    dev = max((orbits.spectrum_deviation(w, orbits.spectrum(s, "sample")) for s in samples), default=0.0)
+    ok = _within(dev, 1e-9, t)
     if args.out:
         for k, s in enumerate(samples):
             write_matrix(s, f"{args.out}{k}.json")
@@ -394,15 +457,19 @@ def cmd_orbit_sample(args, t):
 @command("leaf-compare", "are two matrices on the same orbit", ["A", "B"],
          tol=dict(type=nonnegative_float, default=1e-9))
 def cmd_leaf_compare(args, a, b):
-    dev = orbits.eigenvalue_deviation(a, b)
+    from . import orbits
+    w_a, w_b = orbits.spectrum(a, "A"), orbits.spectrum(b, "B")
+    require_same_size(a, b)
+    dev = orbits.spectrum_deviation(w_a, w_b)
     same = dev <= args.tol
     return {"same_leaf": same, "max_eigenvalue_deviation": dev}, {"tol": args.tol}, same
 
 
 @command("cross-section", "canonical unitary over an orbit point", ["T", "V"],
          tol=dict(type=nonnegative_float, default=1e-8, report=False),
-         corner_tol=dict(type=float, default=cs.CORNER_TOL, report=False))
+         corner_tol=dict(type=nonnegative_float, default=CORNER_TOL, report=False))
 def cmd_cross_section(args, t, v):
+    from . import cross_section as cs
     ref = cs.build_reference(t)
     res = cs.cross_section_phi(ref, v, corner_tol=args.corner_tol)
     n = t.shape[0]
@@ -411,7 +478,7 @@ def cmd_cross_section(args, t, v):
     ok = (
         res.residual <= args.tol
         and unitary_defect <= 1e-9
-        and psi_comm <= 1e-9 * max(1.0, spectral_norm(t))
+        and _within(psi_comm, 1e-9, t)
     )
     results = {
         "residual": res.residual,
@@ -425,6 +492,7 @@ def cmd_cross_section(args, t, v):
 
 @command("well-defined", "section independence of the unitary representative", ["T", "V", "G"])
 def cmd_well_defined(args, t, v, g):
+    from . import cross_section as cs
     dev = cs.well_definedness_check(cs.build_reference(t), v, g)
     return {"deviation": dev}, {"deviation": 1e-8}, dev <= 1e-8
 
@@ -433,8 +501,9 @@ def cmd_well_defined(args, t, v, g):
          phi=dict(type=parse_phi_spec, default="schatten:1"),
          steps=dict(type=positive_int, default=20))
 def cmd_continuity(args, t, a):
+    from . import cross_section as cs
     ref = cs.build_reference(t)
-    vs = [matrix_exp(2.0 ** (-k) * a) for k in range(1, args.steps + 1)]
+    vs = [matrix_exp(2.0 ** (-k) * a, "A") for k in range(1, args.steps + 1)]
     records = cs.continuity_modulus(ref, args.phi, vs)
     ops = [r.op_dist for r in records]
     phis = [r.phi_dist for r in records]
@@ -460,12 +529,14 @@ def cmd_continuity(args, t, a):
 
 @command("offdiag-bound", "gap-weighted bound on off-diagonal compressions", ["T", "W"], phi=PHI)
 def cmd_offdiag_bound(args, t, w):
+    from . import cross_section as cs
     res = cs.offdiag_bound_check(cs.build_reference(t), args.phi, w)
     return {"max_violation": res.max_violation}, {"violation": 1e-9}, res.max_violation <= 1e-9
 
 
 @command("minpoly", "monic annihilating polynomial of the clustered spectrum", ["T"], tol=TOL)
 def cmd_minpoly(args, t):
+    from . import cross_section as cs
     poly = cs.minimal_polynomial(t, args.tol)
     roots = poly.roots()
     n = t.shape[0]
@@ -486,6 +557,7 @@ def cmd_minpoly(args, t):
 
 @command("algebra-dim", "dimension of the algebra generated by T", ["T"], tol=TOL)
 def cmd_algebra_dim(args, t):
+    from . import cross_section as cs
     return {"dimension": cs.generated_algebra_dimension(t, args.tol)}, {}, True
 
 

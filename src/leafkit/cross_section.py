@@ -30,6 +30,7 @@ from numpy.polynomial import Polynomial
 
 from .errors import CornerSingular, NotCommuting, SingleCluster
 from .opcore import (
+    CORNER_TOL,
     SpectralData,
     defect_exceeds,
     require_hermitian,
@@ -38,8 +39,6 @@ from .opcore import (
     spectral_norm,
 )
 from .norming import NormingFunctionSpec, op_norm
-
-CORNER_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,27 @@ def parse_matrix(path) -> np.ndarray:
     return parse_matrix_text(text, str(p))
 
 
+def indented_matrix_text(a: np.ndarray, indent: str) -> str:
+    """The text json.dumps(matrix_to_obj(a), indent=2) gives for a
+    nonempty matrix whose opening brace is on a line indented by indent.
+
+    The C encoder writes the [re, im] pairs on one line; since no float
+    repr holds a bracket or ", ", three replacements put every bracket and
+    number on its own line, as the pure-Python indenting encoder would."""
+    obj = matrix_to_obj(a)
+    i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
+    body = (
+        json.dumps(obj["data"])[3:-3]
+        .replace("]], [[", f"\n{i3}]\n{i2}],\n{i2}[\n{i3}[\n{i4}")
+        .replace("], [", f"\n{i3}],\n{i3}[\n{i4}")
+        .replace(", ", f",\n{i4}")
+    )
+    return (
+        f'{{\n{i1}"cols": {obj["cols"]},\n{i1}"data": [\n{i2}[\n{i3}[\n{i4}{body}'
+        f'\n{i3}]\n{i2}]\n{i1}],\n{i1}"rows": {obj["rows"]}\n{indent}}}'
+    )
+
+
 def emit_matrix(a: np.ndarray) -> str:
     return json.dumps(matrix_to_obj(a), sort_keys=True)
 

@@ -32,6 +32,8 @@ from .errors import (
 HERM_TOL = 1e-10
 UNITARY_TOL = 1e-9
 DEFAULT_CLUSTER_REL_TOL = 1e-8
+# smallest singular value a spectral-block corner may have in the cross-section
+CORNER_TOL = 1e-8
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -115,7 +117,7 @@ def hermitian_companion(t, name: str = "matrix") -> np.ndarray:
     if is_skew_hermitian(m):
         h = -1j * m
         return 0.5 * (h + h.conj().T)
-    raise NotHermitian("expected a Hermitian or skew-Hermitian matrix")
+    raise NotHermitian(f"{name}: expected a Hermitian or skew-Hermitian matrix")
 
 
 def require_skew_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
@@ -132,9 +134,9 @@ def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 
 
 def require_unitary(u, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(u, name)
+    m = require_square(u, name)
     if not is_unitary(m):
-        raise NotUnitary("matrix is not unitary within tolerance")
+        raise NotUnitary(f"{name} is not unitary within tolerance")
     return m
 
 
@@ -186,10 +188,11 @@ class SpectralData:
     @classmethod
     def from_hermitian(cls, h: np.ndarray, cluster_tol: float | None = None) -> SpectralData:
         """Eigenframe of a matrix the caller has already validated and
-        symmetrized.  cluster_tol defaults to 1e-8 times the spectral norm."""
-        if cluster_tol is None:
-            cluster_tol = default_cluster_tol(h)
+        symmetrized.  cluster_tol defaults to 1e-8 times the spectral norm,
+        which for Hermitian H is the largest |eigenvalue|."""
         w, v = np.linalg.eigh(h)
+        if cluster_tol is None:
+            cluster_tol = DEFAULT_CLUSTER_REL_TOL * float(np.abs(w).max(initial=0.0))
         groups = cluster_indices(w, cluster_tol)
         return cls(
             frame=v,
@@ -296,10 +299,10 @@ def polar_decompose(a, invertibility_tol: float = 1e-12) -> PolarFactors:
     return PolarFactors(unitary_part=x, positive_part=q)
 
 
-def matrix_exp(a) -> np.ndarray:
+def matrix_exp(a, name: str = "matrix") -> np.ndarray:
     """Exponential of a skew-Hermitian matrix via the eigendecomposition
     of its Hermitian companion -iA; the result is unitary."""
-    m = require_skew_hermitian(a)
+    m = require_skew_hermitian(a, name=name)
     h = -1j * m
     h = 0.5 * (h + h.conj().T)
     w, v = np.linalg.eigh(h)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .opcore import (
     SpectralData,
-    as_matrix,
     hermitian_companion,
     matrix_exp,
     random_skew_hermitian,
@@ -29,14 +28,14 @@ from .opcore import (
 SPLIT_SEED = 1618
 
 
-def normal_frame(t, cluster_tol: float | None = None) -> SpectralData:
+def normal_frame(t, cluster_tol: float | None = None, name: str = "matrix") -> SpectralData:
     """Clustered eigenframe of a Hermitian or skew-Hermitian matrix.
 
     Skew-Hermitian input is rotated to its Hermitian companion -iT, so the
     eigenvalues are the real numbers theta with spectrum {i theta} in the
     skew case and {theta} in the Hermitian case.
     """
-    return SpectralData.from_hermitian(hermitian_companion(t), cluster_tol)
+    return SpectralData.from_hermitian(hermitian_companion(t, name), cluster_tol)
 
 
 def characteristic_tangent(rho, a) -> np.ndarray:
@@ -68,11 +67,15 @@ def leaf_signature(rho, tol: float) -> LeafSignature:
     )
 
 
-def eigenvalue_deviation(rho1, rho2) -> float:
-    """Largest distance between the sorted eigenvalues of two Hermitian
-    or skew-Hermitian matrices; inf when their sizes differ."""
-    w1 = normal_frame(rho1, 0.0).values
-    w2 = normal_frame(rho2, 0.0).values
+def spectrum(t, name: str = "matrix") -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, or the theta of the
+    spectrum {i theta} of a skew-Hermitian one."""
+    return normal_frame(t, 0.0, name).values
+
+
+def spectrum_deviation(w1: np.ndarray, w2: np.ndarray) -> float:
+    """Largest distance between two ascending spectra; inf when their
+    lengths differ."""
     if len(w1) != len(w2):
         return float("inf")
     return float(np.max(np.abs(w1 - w2), initial=0.0))
@@ -81,13 +84,13 @@ def eigenvalue_deviation(rho1, rho2) -> float:
 def same_leaf(rho1, rho2, tol: float) -> bool:
     """True iff the two matrices are unitarily equivalent up to tol:
     sorted eigenvalues agree pairwise within tol."""
-    return bool(eigenvalue_deviation(rho1, rho2) <= tol)
+    return bool(spectrum_deviation(spectrum(rho1, "rho1"), spectrum(rho2, "rho2")) <= tol)
 
 
 def orbit_sample(t, count: int, scale: float, seed: int) -> list[np.ndarray]:
     """Conjugates V_k* T V_k for V_k = exp(scale * random skew), drawn
     deterministically from the seed."""
-    tm = require_square(t)
+    tm = require_square(t, "T")
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -110,7 +113,7 @@ def pinching(t, s) -> np.ndarray:
     contracts every ideal norm.
     """
     tm = require_square(t, "T")
-    sm = as_matrix(s, "S")
+    sm = require_square(s, "S")
     require_same_size(tm, sm)
     return normal_frame(tm).pinch(sm)
 
@@ -158,7 +161,7 @@ def kernel_range_split(t) -> KernelRangeSplit:
     skew-Hermitian S from them, ||F (F* S F) F* - S||_F; the two real
     dimensions add up to n^2.
     """
-    sd = normal_frame(t)
+    sd = normal_frame(t, name="T")
     f = require_unitary(sd.frame, "eigenframe")
     bases = sd.bases
     kernel: list[np.ndarray] = []

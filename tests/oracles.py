@@ -8,10 +8,16 @@ the skew-Hermitian matrices, the Gram of the orbit form on it, span
 ranks by SVD, the least-squares reconstruction of the split, and the
 sampled polarization and Kaehler loops as coefficient sums over a basis
 list.  They cost O(n^4) to O(n^6), so the tests use them at n <= 8.
+
+report_json is the stdlib layout of a CLI report, which cli.emit_report
+reproduces byte for byte without the pure-Python indenting encoder.
 """
+
+import json
 
 import numpy as np
 
+from leafkit.cli import _json_default
 from leafkit.symplectic import RADICAL_REL_TOL
 
 
@@ -119,3 +125,16 @@ def kaehler_samples(tm, mask, sample_count, seed):
         iso_max = max(iso_max, abs(form(z1, z2)))
         pos_min = min(pos_min, (-1j * form(z1, z1.conj().T)).real)
     return iso_max, pos_min
+
+
+def report_json(report):
+    """A CLI report as json.dumps lays it out with sorted keys and an
+    indent of 2, matrices through the report's default hook."""
+    obj = {
+        "command": report.command,
+        "inputs": report.inputs,
+        "results": report.results,
+        "tolerances": report.tolerances,
+        "pass": bool(report.ok),
+    }
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default)

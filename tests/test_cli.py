@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,7 +162,25 @@ BAD_ARGUMENTS = [
     ["pi-regularity", "--alpha", "-0.1"],
     ["radical", "T", "--seed", "-1"],
     ["radical", "T", "--samples", "two"],
+    ["leaf-compare", "T", "T", "--tol", "inf"],
+    ["minpoly", "T", "--tol", "inf"],
+    ["cross-section", "T", "T", "--corner-tol", "nan"],
+    ["cross-section", "T", "T", "--corner-tol", "-1"],
+    ["orbit-sample", "T", "--scale", "nan"],
+    ["orbit-sample", "T", "--scale", "inf"],
 ]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_ARGV = {c["name"]: c["argv"] for c in json.loads((GOLDEN / "calls.json").read_text())}
+NON_SQUARE_CASES = [(name, k) for name, cmd in cli.COMMANDS.items() for k in range(len(cmd.files))]
+# operands that may be rectangular: the exit code and stderr a 2x3 file gives
+# (the sandwich operands must have each other's shape)
+RECTANGULAR_OK = {
+    ("norm", "matrix"): (0, ""),
+    ("sandwich", "F1"): (3, "leafkit: SizeMismatch: "),
+    ("sandwich", "F2"): (3, "leafkit: SizeMismatch: "),
+}
 
 
 class TestArgumentRanges:
@@ -173,6 +192,8 @@ class TestArgumentRanges:
         out, err = capsys.readouterr()
         assert code == 2
         assert out == "" and "Traceback" not in err and "error: argument" in err
+        # the message names the option: the last one in each argv
+        assert f"argument {[a for a in argv if a.startswith('--')][-1]}: " in err
 
     @pytest.mark.parametrize("value", ["seven", "1.5", "", "-3"])
     def test_malformed_env_seed_exits_2(self, capsys, workdir, monkeypatch, value):
@@ -396,6 +417,26 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert "expected a square matrix, got shape (2, 3)" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, position", NON_SQUARE_CASES, ids=lambda c: str(c))
+    def test_non_square_operand_is_named(self, capsys, monkeypatch, tmp_path, name, position):
+        # the golden call of the command with its position-th file replaced
+        rect = tmp_path / "rect.json"
+        write_matrix(np.arange(6.0).reshape(2, 3).astype(complex), rect)
+        files = [i for i, a in enumerate(GOLDEN_ARGV[name]) if a.startswith("inputs/")]
+        argv = list(GOLDEN_ARGV[name])
+        argv[files[position]] = str(rect)
+        operand = cli.COMMANDS[name].files[position]
+        monkeypatch.chdir(GOLDEN)
+        code = run_command(argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        expected = RECTANGULAR_OK.get((name, operand))
+        if expected is None:
+            assert code == 2 and out == ""
+            assert err.startswith(f"leafkit: {operand}: expected a ") and err.endswith("got shape (2, 3)\n")
+        else:
+            assert code == expected[0] and err.startswith(expected[1])
 
     @staticmethod
     def _raise_from_handler(monkeypatch, kind):

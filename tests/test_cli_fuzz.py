@@ -4,8 +4,9 @@ missing directory, bad norming-function specs and out-of-range numbers.
 
 Whatever the argv, run_command returns an exit code in {0, 1, 2, 3} and
 raises nothing; stdout holds one JSON report exactly when the code is not
-2.  Drawn counts stay small, since --horizon, --steps, --count and
---samples each cost time in proportion.
+2, and the report holds no NaN or Infinity, which are not JSON (RFC 8259).
+Drawn counts stay small, since --horizon, --steps, --count and --samples
+each cost time in proportion.
 """
 
 import contextlib
@@ -93,6 +94,10 @@ def fuzz_dir(tmp_path_factory):
     return d
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token} in a report")
+
+
 def test_every_option_has_fuzz_values():
     assert {dest for cmd in cli.COMMANDS.values() for dest in cmd.options} == set(VALUES)
 
@@ -108,6 +113,10 @@ def test_every_command_has_a_golden():
 @example(["omega", "{dir}/T2.json", "{dir}/rect23.json", "{dir}/T2.json"])
 @example(["dual-check", "--phi", "max", "{dir}/rect23.json", "{dir}/rect23.json"])
 @example(["orbit-sample", "{dir}/T2.json", "--out", "{dir}/absent/sample_"])
+# non-finite options and operands of two sizes once printed NaN or Infinity
+@example(["leaf-compare", "{dir}/T2.json", "{dir}/T2.json", "--tol", "inf"])
+@example(["cross-section", "{dir}/T3.json", "{dir}/V3.json", "--corner-tol", "nan"])
+@example(["leaf-compare", "{dir}/T2.json", "{dir}/T3.json"])
 def test_drawn_argv_exits_cleanly(fuzz_dir, argv):
     argv = [a.format(dir=fuzz_dir) for a in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -118,6 +127,6 @@ def test_drawn_argv_exits_cleanly(fuzz_dir, argv):
     if code == 2:
         assert out.getvalue() == "", argv
     else:
-        report = json.loads(out.getvalue())
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
         assert report["command"] == argv[0]
         assert report["pass"] is (code == 0)
