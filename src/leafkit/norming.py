@@ -167,7 +167,10 @@ def eval_snf_many(phi: NormingFunctionSpec, rows: np.ndarray) -> np.ndarray:
         return (rows ** phi.p).sum(axis=1) ** (1.0 / phi.p)
     w = phi.pi.values(m)
     if phi.kind == "lorentz_pi":
-        return rows @ w
+        # summed in order, so that a row's value does not depend on the
+        # rows stacked with it (a BLAS matrix-vector product may change the
+        # order with the row count)
+        return np.cumsum(rows * w, axis=1)[:, -1]
     ratios = np.cumsum(rows, axis=1) / np.cumsum(w)
     return ratios.max(axis=1)
 
@@ -207,14 +210,6 @@ def adjoint_snf(phi: NormingFunctionSpec) -> NormingFunctionSpec:
     raise UnsupportedKind(f"no closed-form adjoint for kind {phi.kind!r}")
 
 
-def _pairing_ratio(phi: NormingFunctionSpec, xi: np.ndarray, eta: np.ndarray) -> float:
-    denom = eval_snf(phi, xi)
-    if denom <= 0.0:
-        return 0.0
-    m = min(len(xi), len(eta))
-    return float(np.dot(xi[:m], eta[:m])) / denom
-
-
 def adjoint_defect(
     phi: NormingFunctionSpec,
     eta,
@@ -228,36 +223,37 @@ def adjoint_defect(
     closed form must dominate every candidate ratio, so the returned
     defect (closed form minus best sampled ratio) is >= -1e-9.  Candidate
     sets include the known extremizers (eta itself, indicator prefixes,
-    pi prefixes, the Hoelder-conjugate power of eta) plus random samples.
+    pi prefixes, the Hoelder-conjugate power of eta) plus sample_count
+    random samples.  Every candidate is a zero-padded row of one array,
+    since trailing zeros change neither phi nor the pairing.
     """
+    if sample_count < 0:
+        raise ValueError("sample_count must be >= 0")
     eta = _sorted_desc_abs(eta)
     target = eval_snf(adjoint_snf(phi), eta)
     m = max(len(eta), 1)
 
-    candidates: list[np.ndarray] = [eta]
-    for k in range(1, m + 1):
-        candidates.append(np.ones(k))
-    e1 = np.zeros(m)
-    e1[0] = 1.0
-    candidates.append(e1)
+    width = m + 4
+    eta_row = np.pad(eta, (0, width - len(eta)))
+    prefixes = np.tri(m, width)  # row k - 1: the indicator of the first k places
+    rows = [eta_row[None, :], prefixes]
     if phi.kind == "schatten" and not np.isinf(phi.p) and phi.p > 1.0:
         q = phi.p / (phi.p - 1.0)
-        candidates.append(eta ** (q - 1.0))
+        rows.append(eta_row[None, :] ** (q - 1.0))
     if phi.kind in ("lorentz_pi", "lorentz_dual"):
-        w = phi.pi.values(m)
-        for k in range(1, m + 1):
-            candidates.append(w[:k].copy())
+        rows.append(prefixes * np.pad(phi.pi.values(m), (0, 4)))
 
     rng = np.random.default_rng(seed)
-    for _ in range(sample_count):
+    drawn = np.zeros((sample_count, width))
+    for row in drawn:
         k = int(rng.integers(1, m + 5))
-        candidates.append(_sorted_desc_abs(rng.standard_normal(k)))
+        np.abs(rng.standard_normal(k), out=row[:k])
+    rows.append(np.flip(np.sort(drawn, axis=1), axis=1))
 
-    best = 0.0
-    for xi in candidates:
-        if len(xi) == 0 or xi[0] <= 0.0:
-            continue
-        best = max(best, _pairing_ratio(phi, xi, eta))
+    rows = np.concatenate(rows)
+    denom = eval_snf_many(phi, rows)
+    live = denom > 0.0
+    best = float((rows[live] @ eta_row / denom[live]).max(initial=0.0))
     return target - best
 
 

@@ -9,6 +9,8 @@ the skew-Hermitian matrices into kernel and range of ad T.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,37 +120,64 @@ def pinching(t, s) -> np.ndarray:
     return normal_frame(tm).pinch(sm)
 
 
-def _block_skew_units(cols_a: np.ndarray, cols_b: np.ndarray, same_block: bool) -> list[np.ndarray]:
-    """Real basis of the skew-Hermitian matrices supported on the block
-    pair (a, b) of an orthonormal frame; for a diagonal block this is the
-    full skew-Hermitian algebra of the block."""
-    out = []
-    ma, mb = cols_a.shape[1], cols_b.shape[1]
-    if same_block:
-        for i in range(ma):
-            out.append(1j * np.outer(cols_a[:, i], cols_a[:, i].conj()))
-        for i in range(ma):
-            for j in range(i + 1, ma):
-                e = np.outer(cols_a[:, i], cols_a[:, j].conj())
-                out.append(e - e.conj().T)
-                out.append(1j * (e + e.conj().T))
-    else:
-        for i in range(ma):
-            for j in range(mb):
-                e = np.outer(cols_a[:, i], cols_b[:, j].conj())
-                out.append(e - e.conj().T)
-                out.append(1j * (e + e.conj().T))
-    return out
+class SkewUnits(Sequence):
+    """Read-only sequence of the real frame units spanning the
+    skew-Hermitian matrices supported on a list of block pairs of an
+    orthonormal frame F.  Each unit is built on access; the sequence holds
+    only F and the pairs.
+
+    A pair is two column ranges (a, m_a) and (b, m_b) of F.  A diagonal
+    pair (a == b) spans the skew-Hermitian algebra of its block with the
+    m_a^2 units i f_k f_k*, then f_k f_l* - f_l f_k* and
+    i (f_k f_l* + f_l f_k*) for each k < l; an off-diagonal pair has those
+    last two units for each column k of a and l of b, row-major.
+    """
+
+    def __init__(self, frame: np.ndarray, pairs: list[tuple[tuple[int, int], tuple[int, int]]]):
+        self._frame = frame
+        self._pairs = pairs
+        self._edges = np.cumsum([0, *(ma * mb if a == b else 2 * ma * mb for (a, ma), (b, mb) in pairs)])
+
+    def __len__(self) -> int:
+        return int(self._edges[-1])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("unit index out of range")
+        seg = int(np.searchsorted(self._edges, i, side="right")) - 1
+        (a, ma), (b, mb) = self._pairs[seg]
+        r = i - int(self._edges[seg])
+        f = self._frame
+        if a == b:
+            if r < ma:
+                return 1j * np.outer(f[:, a + r], f[:, a + r].conj())
+            r -= ma
+            k, l = 0, r // 2  # the (r // 2)-th pair k < l, row-major
+            while l >= ma - 1 - k:
+                l -= ma - 1 - k
+                k += 1
+            k, l = a + k, a + k + 1 + l
+        else:
+            k, l = divmod(r // 2, mb)
+            k, l = a + k, b + l
+        e = np.outer(f[:, k], f[:, l].conj())
+        return e - e.conj().T if r % 2 == 0 else 1j * (e + e.conj().T)
 
 
 @dataclass(frozen=True)
 class KernelRangeSplit:
     """Direct-sum decomposition of the skew-Hermitian matrices into
     Ker(ad T) (block-diagonal part) and Ran(ad T) (off-diagonal part) in
-    the eigenbasis of T."""
+    the eigenbasis of T: the kernel units of each cluster, then the range
+    units of each cluster pair (i, j), i < j, in order."""
 
-    kernel_basis: list[np.ndarray] = field(repr=False)
-    range_basis: list[np.ndarray] = field(repr=False)
+    kernel_basis: SkewUnits = field(repr=False)
+    range_basis: SkewUnits = field(repr=False)
     residual: float
 
 
@@ -163,21 +192,15 @@ def kernel_range_split(t) -> KernelRangeSplit:
     """
     sd = normal_frame(t, name="T")
     f = require_unitary(sd.frame, "eigenframe")
-    bases = sd.bases
-    kernel: list[np.ndarray] = []
-    rangeb: list[np.ndarray] = []
-    for gi, b in enumerate(bases):
-        kernel.extend(_block_skew_units(b, b, True))
-        for c in bases[gi + 1 :]:
-            rangeb.extend(_block_skew_units(b, c, False))
+    blocks = [(b.start, b.stop - b.start) for b in sd.blocks]
 
     rng = np.random.default_rng(SPLIT_SEED)
     s = random_skew_hermitian(sd.size, rng)
     fh = f.conj().T
     recon = f @ (fh @ s @ f) @ fh
     return KernelRangeSplit(
-        kernel_basis=kernel,
-        range_basis=rangeb,
+        kernel_basis=SkewUnits(f, [(a, a) for a in blocks]),
+        range_basis=SkewUnits(f, [(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1 :]]),
         residual=float(np.linalg.norm(recon - s)),
     )
 

@@ -24,7 +24,6 @@ from .opcore import (
     as_matrix,
     hermitian_companion,
     is_skew_hermitian,
-    random_skew_hermitian,
     require_same_size,
     require_square,
     require_unitary,
@@ -121,8 +120,10 @@ def radical_check(t, sample_count: int = 100, seed: int = 0) -> RadicalCheck:
 
     Also reports the largest sampled pairing |omega_T(K, S)| over random
     K in Ker(ad T) and random skew S (zero up to roundoff when the match
-    holds).  A Hermitian reference is read as its skew partner iT.
+    holds), drawn in stacks of K, S pairs.  A Hermitian reference is read
+    as its skew partner iT.
     """
+    _require_samples(sample_count)
     tm, sd = _reference(t)
     n = sd.size
     f = sd.frame
@@ -147,10 +148,15 @@ def radical_check(t, sample_count: int = 100, seed: int = 0) -> RadicalCheck:
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(sample_count):
-        k = sd.pinch(random_skew_hermitian(n, rng))
-        s = random_skew_hermitian(n, rng)
-        worst = max(worst, abs(complex(_trace_form(tm, k, s))))
+    for m in _stacks(sample_count, n):
+        # per sample: Re and Im of K, then of S, as random_skew_hermitian
+        # draws them one matrix at a time
+        x = rng.standard_normal((m, 2, 2, n, n))
+        g = x[:, :, 0] + 1j * x[:, :, 1]
+        ks = 0.5 * (g - g.conj().swapaxes(-2, -1))
+        p = _trace_form(tm, sd.pinch(ks[:, 0]), ks[:, 1])
+        # hypot is the modulus abs(complex) takes; np.abs can differ in the last bit
+        worst = max(worst, float(np.hypot(p.real, p.imag).max()))
     return RadicalCheck(
         radical_dim=radical_dim,
         isotropy_dim=iso,
@@ -255,6 +261,12 @@ def _polarization(sd: SpectralData) -> PolarizationMask:
     )
 
 
+def _require_samples(count: int) -> None:
+    """A sampled contract over no samples tests nothing."""
+    if count < 1:
+        raise ValueError("sample_count must be >= 1")
+
+
 def _stacks(count: int, n: int):
     """Sizes of the stacks that split count draws of n x n matrices, each
     stack at most _STACK_ENTRIES matrix entries (one draw at least)."""
@@ -287,6 +299,7 @@ def polarization_properties(t, mask: PolarizationMask | None = None,
     complex dimensions of their entry supports sup, sup.T and
     sup | sup.T in frame coordinates.
     """
+    _require_samples(sample_count)
     if mask is None:
         mask = polarization(t)
     else:
@@ -341,6 +354,7 @@ def kaehler_check(t, sample_count: int = 200, seed: int = 0) -> KaehlerCheck:
     -i omega_T(Z, Z*) is nonnegative.  Both contracts are relative to
     scale = max(1, ||T||).  A Hermitian reference is read as its skew
     partner iT."""
+    _require_samples(sample_count)
     tm, sd = _reference(t)
     mask = _polarization(sd)
     size = mask.complex_dim

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,19 @@ def hermitian_with_spectrum(values, rng):
     values = np.asarray(values, dtype=float)
     u = random_unitary(len(values), rng)
     return u @ np.diag(values).astype(complex) @ u.conj().T
+
+
+@contextmanager
+def recorded_generators():
+    """Collect every generator that np.random.default_rng makes inside the
+    block, so a test can read the state a call left them in."""
+    made = []
+    make = np.random.default_rng
+
+    def record(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", record)
+        yield made

@@ -9,6 +9,12 @@ ranks by SVD, the least-squares reconstruction of the split, and the
 sampled polarization and Kaehler loops as coefficient sums over a basis
 list.  They cost O(n^4) to O(n^6), so the tests use them at n <= 8.
 
+The sampled loops of radical_check, adjoint_defect and
+offdiag_bound_check are here one sample, candidate or block pair per
+iteration, as the library ran them before it stacked them; each draws
+from a generator the caller passes, so a test can compare what the
+library's generator consumed.
+
 report_json is the stdlib layout of a CLI report, which cli.emit_report
 reproduces byte for byte without the pure-Python indenting encoder.
 """
@@ -18,6 +24,8 @@ import json
 import numpy as np
 
 from leafkit.cli import _json_default
+from leafkit.norming import adjoint_snf, eval_snf, op_norm
+from leafkit.opcore import random_skew_hermitian
 from leafkit.symplectic import RADICAL_REL_TOL
 
 
@@ -125,6 +133,92 @@ def kaehler_samples(tm, mask, sample_count, seed):
         iso_max = max(iso_max, abs(form(z1, z2)))
         pos_min = min(pos_min, (-1j * form(z1, z1.conj().T)).real)
     return iso_max, pos_min
+
+
+def split_lists(sd):
+    """The kernel and range bases of kernel_range_split as eager lists:
+    per cluster its skew units, then per cluster pair i < j the pair's
+    off-diagonal units."""
+
+    def units(ca, cb, same):
+        out = []
+        if same:
+            for i in range(ca.shape[1]):
+                out.append(1j * np.outer(ca[:, i], ca[:, i].conj()))
+        for i in range(ca.shape[1]):
+            for j in range(i + 1 if same else 0, cb.shape[1]):
+                e = np.outer(ca[:, i], cb[:, j].conj())
+                out.append(e - e.conj().T)
+                out.append(1j * (e + e.conj().T))
+        return out
+
+    bases = sd.bases
+    kernel, rangeb = [], []
+    for gi, b in enumerate(bases):
+        kernel.extend(units(b, b, True))
+        for c in bases[gi + 1 :]:
+            rangeb.extend(units(b, c, False))
+    return kernel, rangeb
+
+
+def radical_pairing_max(tm, sd, sample_count, rng):
+    """sampled_pairing_max of radical_check: max |Tr(T [K, S])| over one
+    pinched K and one S per draw."""
+    n = sd.size
+    worst = 0.0
+    for _ in range(sample_count):
+        k = sd.pinch(random_skew_hermitian(n, rng))
+        s = random_skew_hermitian(n, rng)
+        worst = max(worst, abs(complex(np.trace(tm @ (k @ s - s @ k)))))
+    return worst
+
+
+def adjoint_defect(phi, eta, sample_count, rng):
+    """adjoint_defect with one pairing ratio per candidate."""
+    eta = np.sort(np.abs(np.asarray(eta, dtype=float).ravel()))[::-1]
+    target = eval_snf(adjoint_snf(phi), eta)
+    m = max(len(eta), 1)
+    candidates = [eta]
+    for k in range(1, m + 1):
+        candidates.append(np.ones(k))
+    e1 = np.zeros(m)
+    e1[0] = 1.0
+    candidates.append(e1)
+    if phi.kind == "schatten" and not np.isinf(phi.p) and phi.p > 1.0:
+        q = phi.p / (phi.p - 1.0)
+        candidates.append(eta ** (q - 1.0))
+    if phi.kind in ("lorentz_pi", "lorentz_dual"):
+        w = phi.pi.values(m)
+        for k in range(1, m + 1):
+            candidates.append(w[:k].copy())
+    for _ in range(sample_count):
+        k = int(rng.integers(1, m + 5))
+        candidates.append(np.sort(np.abs(rng.standard_normal(k)))[::-1])
+
+    best = 0.0
+    for xi in candidates:
+        if len(xi) == 0 or xi[0] <= 0.0:
+            continue
+        denom = eval_snf(phi, xi)
+        if denom > 0.0:
+            j = min(len(xi), len(eta))
+            best = max(best, float(np.dot(xi[:j], eta[:j])) / denom)
+    return target - best
+
+
+def offdiag_max_violation(ref, phi, w):
+    """max_violation of offdiag_bound_check, one core norm per block pair."""
+    comm_norm = op_norm(phi, ref.T @ w - w @ ref.T)
+    lams = ref.eigenvalues
+    blocks = ref.spectral.blocks
+    cores = ref.spectral.frame.conj().T @ w @ ref.spectral.frame
+    worst = -np.inf
+    for i in range(len(lams)):
+        for j in range(len(lams)):
+            if i != j:
+                lhs = op_norm(phi, cores[blocks[i], blocks[j]]) * abs(lams[i] - lams[j])
+                worst = max(worst, lhs - comm_norm)
+    return float(worst)
 
 
 def report_json(report):

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from leafkit.cross_section import (
     build_reference,
@@ -403,6 +406,36 @@ class TestOffdiagBound:
         ref = build_reference(np.eye(3))
         with pytest.raises(SingleCluster):
             offdiag_bound_check(ref, schatten(1), np.eye(3))
+
+    @staticmethod
+    def assert_is_the_per_pair_loop(t, w):
+        ref = build_reference(t)
+        for phi_norm in PHI_SET:
+            got = offdiag_bound_check(ref, phi_norm, w).max_violation
+            expected = oracles.offdiag_max_violation(ref, phi_norm, w)
+            if phi_norm.kind == "schatten" and phi_norm.p not in (1.0, 2.0, np.inf):
+                # numpy's vectorized pow on a stack of rows may differ in the
+                # last bit from the scalar pow a lone row gets
+                assert abs(got - expected) <= 16 * np.finfo(float).eps * max(1.0, spectral_norm(t))
+            else:
+                assert got == expected, phi_norm.label()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=2, max_size=8).filter(lambda m: sum(m) <= 8),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.05, 3.0),
+    )
+    def test_is_the_per_pair_loop(self, mults, seed, angle):
+        rng = np.random.default_rng(seed)
+        t = hermitian_with_spectrum(np.repeat(separated_values(rng, len(mults)), mults), rng)
+        self.assert_is_the_per_pair_loop(0.5 * (t + t.conj().T), random_unitary(t.shape[0], rng, angle))
+
+    def test_is_the_per_pair_loop_at_n32(self):
+        rng = np.random.default_rng(3208)
+        mults = (8, 6, 5, 4, 4, 2, 2, 1)
+        t = hermitian_with_spectrum(np.repeat(separated_values(rng, len(mults)), mults), rng)
+        self.assert_is_the_per_pair_loop(0.5 * (t + t.conj().T), random_unitary(32, rng, 0.3))
 
 
 class TestMinimalPolynomial:

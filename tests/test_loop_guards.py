@@ -1,0 +1,69 @@
+"""Call counts of the stacked sampled loops.
+
+radical_check, adjoint_defect and offdiag_bound_check each evaluate their
+samples, candidates or block pairs as stacks.  These tests count the calls
+into the kernels underneath, so an edit that brings back one call per
+sample fails here without a timing test.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from leafkit import norming
+from leafkit.cross_section import build_reference, offdiag_bound_check
+from leafkit.norming import adjoint_defect, lorentz, schatten
+from leafkit.opcore import SpectralData
+from leafkit.symplectic import _stacks, radical_check
+
+from conftest import SQRT_PI, hermitian_with_spectrum, random_unitary
+
+
+def counted(monkeypatch, owner, name, key=lambda *args: None):
+    """Replace owner.name by a wrapper that counts its calls by
+    key(*args)."""
+    calls = Counter()
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[key(*args)] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("mults, sample_count", [((3, 3, 2), 100), ((12, 8, 8, 4), 100), ((2, 1), 300)])
+def test_radical_pinches_once_per_stack(monkeypatch, mults, sample_count):
+    rng = np.random.default_rng(8)
+    t = hermitian_with_spectrum(np.repeat(np.arange(len(mults), dtype=float), mults), rng)
+    calls = counted(monkeypatch, SpectralData, "pinch")
+    radical_check(t, sample_count=sample_count)
+    n = sum(mults)
+    assert calls[None] == len(list(_stacks(sample_count, n)))
+
+
+@pytest.mark.parametrize("phi", [schatten(3), lorentz(SQRT_PI)])
+def test_adjoint_defect_evaluates_phi_once(monkeypatch, phi):
+    calls = counted(monkeypatch, norming, "eval_snf_many", lambda phi, rows: len(rows))
+    eta = np.abs(np.random.default_rng(9).standard_normal(32))
+    adjoint_defect(phi, eta, sample_count=200)
+    # one row for the closed-form target on eta, then every candidate at
+    # once: eta, 32 indicator prefixes, the Hoelder power of eta or 32 pi
+    # prefixes, and 200 random draws
+    extremizers = 1 + 32 + (1 if phi.kind == "schatten" else 32)
+    assert calls == Counter({1: 1, extremizers + 200: 1})
+
+
+def test_offdiag_takes_one_svd_per_core_shape(monkeypatch):
+    rng = np.random.default_rng(10)
+    mults = (3, 3, 2, 2, 1)
+    t = hermitian_with_spectrum(np.repeat(np.arange(len(mults), dtype=float), mults), rng)
+    ref = build_reference(0.5 * (t + t.conj().T))
+    w = random_unitary(ref.size, rng)
+    calls = counted(monkeypatch, np.linalg, "svd", lambda a, **_: np.ndim(a))
+    offdiag_bound_check(ref, schatten(1), w)
+    shapes = {(a, b) for i, a in enumerate(mults) for j, b in enumerate(mults) if i != j}
+    # the stacked cores of each shape, and the commutator TW - WT once
+    assert calls == Counter({3: len(shapes), 2: 1})

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from leafkit.errors import RankTooHigh
 from leafkit.norming import (
@@ -21,7 +24,17 @@ from leafkit.norming import (
 )
 from leafkit.opcore import spectral_norm
 
-from conftest import PHI_SET, SQRT_PI, random_psd
+from conftest import PHI_SET, SQRT_PI, random_psd, recorded_generators
+
+
+# every kind of gauge: the Schatten gauges, and both Lorentz gauges over
+# power, constant and prefix weights
+DEFECT_PHIS = PHI_SET + [
+    lorentz(PiSequence("constant")),
+    lorentz_dual(PiSequence("constant")),
+    lorentz(PiSequence("prefix_power", alpha=0.5, prefix=(1.0, 0.8, 0.5))),
+    lorentz_dual(PiSequence("prefix_power", alpha=0.5, prefix=(1.0, 0.8, 0.5))),
+]
 
 
 def lorentz_dual_oracle(pi, xi):
@@ -154,6 +167,33 @@ class TestAdjoint:
             for _ in range(5):
                 eta = np.sort(np.abs(rng.standard_normal(6)))[::-1]
                 assert adjoint_defect(phi, eta, sample_count=100, seed=3) >= -1e-9
+
+    def test_defect_rejects_negative_sample_count(self):
+        with pytest.raises(ValueError, match="sample_count"):
+            adjoint_defect(schatten(2), [1.0, 0.5], sample_count=-2)
+        # the extremizers alone are a meaningful check
+        assert adjoint_defect(schatten(2), [1.0, 0.5], sample_count=0) >= -1e-9
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(DEFECT_PHIS),
+        st.sampled_from([0, 1, 5, 40]),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 60),
+    )
+    def test_defect_is_the_per_candidate_loop(self, phi, m, draw_seed, sample_count):
+        # signed, unsorted entries, some of them zero
+        rng = np.random.default_rng(draw_seed)
+        eta = rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4)
+        eta[rng.random(m) < 0.2] = 0.0
+        seed = int(rng.integers(2**31))
+        with recorded_generators() as made:
+            defect = adjoint_defect(phi, eta, sample_count=sample_count, seed=seed)
+        rng = np.random.default_rng(seed)
+        expected = oracles.adjoint_defect(phi, eta, sample_count, rng)
+        target = eval_snf(adjoint_snf(phi), eta)
+        assert abs(defect - expected) <= 8 * np.finfo(float).eps * max(1.0, target)
+        assert [g.bit_generator.state for g in made] == [rng.bit_generator.state]
 
 
 class TestDuality:

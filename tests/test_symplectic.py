@@ -9,6 +9,7 @@ from leafkit.errors import ClusterAmbiguity, NotSkewHermitian, NotUnitVector, Si
 from leafkit.orbits import SPLIT_SEED, isotropy_dimension, kernel_range_split, pinching
 from leafkit.opcore import random_skew_hermitian
 from leafkit.symplectic import (
+    _reference,
     kaehler_check,
     omega,
     omega_complexified,
@@ -18,7 +19,7 @@ from leafkit.symplectic import (
     radical_check,
 )
 
-from conftest import hermitian_with_spectrum, random_skew, random_unitary, separated_values
+from conftest import hermitian_with_spectrum, random_skew, random_unitary, recorded_generators, separated_values
 from oracles import skew_hermitian_basis
 
 
@@ -289,15 +290,56 @@ class TestAgainstDenseOracles:
         assert len(split.kernel_basis) == sum(m * m for m in mults)
         assert len(split.kernel_basis) + len(split.range_basis) == n * n
         s = random_skew_hermitian(n, np.random.default_rng(SPLIT_SEED))
-        _, residual = oracles.lstsq_split(split.kernel_basis + split.range_basis, s)
+        _, residual = oracles.lstsq_split([*split.kernel_basis, *split.range_basis], s)
         assert residual <= 1e-12 and split.residual <= 1e-12
         # the kernel span is the pinching image and the range span its complement
         s = random_skew_hermitian(n, np.random.default_rng(seed))
-        coef, residual = oracles.lstsq_split(split.kernel_basis + split.range_basis, s)
+        coef, residual = oracles.lstsq_split([*split.kernel_basis, *split.range_basis], s)
         assert residual <= 1e-12
         kd = len(split.kernel_basis)
         kernel_part = sum((c * b for c, b in zip(coef[:kd], split.kernel_basis)), np.zeros((n, n)))
         np.testing.assert_allclose(kernel_part, pinching(t, s), atol=1e-12)
+
+    @ORACLE_SETTINGS
+    @given(clustered_reference(), st.integers(1, 300), st.integers(0, 2**31 - 1))
+    def test_sampled_pairing_is_the_per_sample_loop(self, case, sample_count, seed):
+        t, _, _ = case
+        with recorded_generators() as made:
+            res = radical_check(t, sample_count=sample_count, seed=seed)
+        rng = np.random.default_rng(seed)
+        tm, sd = _reference(t)
+        assert res.sampled_pairing_max == oracles.radical_pairing_max(tm, sd, sample_count, rng)
+        assert [g.bit_generator.state for g in made] == [rng.bit_generator.state]
+
+    def test_sampled_pairing_at_n32(self):
+        rng = np.random.default_rng(3232)
+        t = hermitian_with_spectrum(np.repeat([3.0, 1.0, -0.5, -2.0], (12, 8, 8, 4)), rng)
+        for ref in (t, 1j * t):
+            with recorded_generators() as made:
+                res = radical_check(ref, sample_count=100, seed=5)
+            rng = np.random.default_rng(5)
+            tm, sd = _reference(ref)
+            assert res.sampled_pairing_max == oracles.radical_pairing_max(tm, sd, 100, rng)
+            assert [g.bit_generator.state for g in made] == [rng.bit_generator.state]
+
+    @ORACLE_SETTINGS
+    @given(clustered_reference())
+    def test_split_views_are_the_eager_lists(self, case):
+        t, _, _ = case
+        split = kernel_range_split(t)
+        kernel, rangeb = oracles.split_lists(_reference(t)[1])
+        for view, eager in ((split.kernel_basis, kernel), (split.range_basis, rangeb)):
+            assert len(view) == len(eager)
+            for u, e in zip(view, eager):
+                np.testing.assert_array_equal(u, e)
+            if eager:
+                np.testing.assert_array_equal(view[-1], eager[-1])
+                np.testing.assert_array_equal(view[np.int64(0)], eager[0])
+            assert len(view[1::2]) == len(eager[1::2])
+            with pytest.raises(IndexError):
+                view[len(eager)]
+            with pytest.raises(IndexError):
+                view[-len(eager) - 1]
 
 
 class TestScaleCovariance:
@@ -332,6 +374,17 @@ class TestScaleCovariance:
         with pytest.raises(ClusterAmbiguity):
             radical_check(t, sample_count=1)
 
+    @pytest.mark.parametrize("call", [
+        lambda t, k: radical_check(t, sample_count=k),
+        lambda t, k: polarization_properties(t, sample_count=k),
+        lambda t, k: kaehler_check(t, sample_count=k),
+    ])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_no_samples_is_rejected(self, call, count):
+        # a sampled contract over no samples would report a vacuous pass
+        with pytest.raises(ValueError, match="sample_count"):
+            call(np.diag([2j, 1j]), count)
+
     def test_zero_reference_is_all_radical(self):
         res = radical_check(np.zeros((3, 3)), sample_count=3)
         assert res.radical_dim == res.isotropy_dim == 9
@@ -349,7 +402,8 @@ def traced_peak_mib(call):
 
 class TestMemoryBudgets:
     """tracemalloc peaks at n = 32 with multiplicities (12, 8, 8, 4); the
-    dense paths took 64.3, 41.5, 10.5 and 48.3 MiB."""
+    dense paths took 64.3, 41.5, 10.5 and 48.3 MiB, and the eager split
+    lists 16.2 MiB."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -360,8 +414,13 @@ class TestMemoryBudgets:
         ("radical_check", radical_check, 4),
         ("polarization_properties", polarization_properties, 4),
         ("kaehler_check", kaehler_check, 4),
-        # the eager kernel and range lists alone hold 16 MiB
-        ("kernel_range_split", kernel_range_split, 24),
+        ("kernel_range_split", kernel_range_split, 4),
     ])
     def test_peak(self, reference, name, call, budget_mib):
         assert traced_peak_mib(lambda: call(reference)) <= budget_mib, name
+
+    def test_split_at_n48(self):
+        # the eager lists of 48^2 dense 48 x 48 units peaked at 81.5 MiB
+        rng = np.random.default_rng(4848)
+        t = hermitian_with_spectrum(separated_values(rng, 48), rng)
+        assert traced_peak_mib(lambda: kernel_range_split(t)) <= 4
