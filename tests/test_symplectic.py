@@ -300,10 +300,8 @@ class TestAgainstDenseOracles:
         kernel_part = sum((c * b for c, b in zip(coef[:kd], split.kernel_basis)), np.zeros((n, n)))
         np.testing.assert_allclose(kernel_part, pinching(t, s), atol=1e-12)
 
-    @ORACLE_SETTINGS
-    @given(clustered_reference(), st.integers(1, 300), st.integers(0, 2**31 - 1))
-    def test_sampled_pairing_is_the_per_sample_loop(self, case, sample_count, seed):
-        t, _, _ = case
+    @staticmethod
+    def assert_pairing_is_the_per_sample_loop(t, sample_count, seed):
         with recorded_generators() as made:
             res = radical_check(t, sample_count=sample_count, seed=seed)
         rng = np.random.default_rng(seed)
@@ -311,16 +309,16 @@ class TestAgainstDenseOracles:
         assert res.sampled_pairing_max == oracles.radical_pairing_max(tm, sd, sample_count, rng)
         assert [g.bit_generator.state for g in made] == [rng.bit_generator.state]
 
+    @ORACLE_SETTINGS
+    @given(clustered_reference(), st.integers(1, 300), st.integers(0, 2**31 - 1))
+    def test_sampled_pairing_is_the_per_sample_loop(self, case, sample_count, seed):
+        self.assert_pairing_is_the_per_sample_loop(case[0], sample_count, seed)
+
     def test_sampled_pairing_at_n32(self):
         rng = np.random.default_rng(3232)
         t = hermitian_with_spectrum(np.repeat([3.0, 1.0, -0.5, -2.0], (12, 8, 8, 4)), rng)
         for ref in (t, 1j * t):
-            with recorded_generators() as made:
-                res = radical_check(ref, sample_count=100, seed=5)
-            rng = np.random.default_rng(5)
-            tm, sd = _reference(ref)
-            assert res.sampled_pairing_max == oracles.radical_pairing_max(tm, sd, 100, rng)
-            assert [g.bit_generator.state for g in made] == [rng.bit_generator.state]
+            self.assert_pairing_is_the_per_sample_loop(ref, 100, 5)
 
     @ORACLE_SETTINGS
     @given(clustered_reference())
