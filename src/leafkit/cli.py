@@ -43,8 +43,9 @@ from .errors import ParseError, PreconditionError, ShapeError
 from .matrixio import indented_matrix_text, matrix_to_obj, parse_matrix, write_matrix
 from .opcore import (
     CORNER_TOL,
-    default_cluster_tol,
+    SpectralData,
     matrix_exp,
+    require_hermitian,
     require_same_size,
     require_square,
     singular_values,
@@ -537,14 +538,14 @@ def cmd_offdiag_bound(args, t, w):
 @command("minpoly", "monic annihilating polynomial of the clustered spectrum", ["T"], tol=TOL)
 def cmd_minpoly(args, t):
     from . import cross_section as cs
-    poly = cs.minimal_polynomial(t, args.tol)
+    sd = SpectralData.from_hermitian(require_hermitian(t, name="T"), args.tol)
+    poly = cs.cluster_polynomial(sd)
     roots = poly.roots()
     n = t.shape[0]
     value = np.eye(n, dtype=np.complex128)
     for r in np.sort(roots.real):
         value = value @ (t - r * np.eye(n))
-    tol = args.tol if args.tol is not None else default_cluster_tol(t)
-    bound = tol * (1.0 + spectral_norm(t)) ** poly.degree()
+    bound = sd.cluster_tol * (1.0 + spectral_norm(t)) ** poly.degree()
     residual = spectral_norm(value)
     results = {
         "coefficients": [float(c) for c in poly.coef],

@@ -283,8 +283,13 @@ def offdiag_bound_check(ref: ReferenceOperator, phi_norm: NormingFunctionSpec, w
 def minimal_polynomial(t, tol: float | None = None) -> Polynomial:
     """Monic polynomial whose roots are the distinct eigenvalue clusters
     of a Hermitian matrix; it annihilates the matrix up to
-    tol (1 + ||T||)^degree."""
-    reps = SpectralData.from_hermitian(require_hermitian(t, name="T"), tol).eigenvalues
+    tol (1 + ||T||)^degree, tol the cluster tolerance applied."""
+    return cluster_polynomial(SpectralData.from_hermitian(require_hermitian(t, name="T"), tol))
+
+
+def cluster_polynomial(sd: SpectralData) -> Polynomial:
+    """Monic polynomial whose roots are the cluster means of sd."""
+    reps = sd.eigenvalues
     return Polynomial.fromroots(reps) if len(reps) else Polynomial([0.0, 1.0])
 
 

@@ -254,10 +254,6 @@ class PolarFactors:
     positive_part: np.ndarray
 
 
-def default_cluster_tol(a: np.ndarray) -> float:
-    return DEFAULT_CLUSTER_REL_TOL * spectral_norm(a)
-
-
 def spectral_decompose(a, cluster_tol: float | None = None) -> SpectralData:
     """Hermitian eigendecomposition with clustered spectral projections.
 

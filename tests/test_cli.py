@@ -11,7 +11,7 @@ from leafkit import cli, orbits
 from leafkit.cli import run_command
 from leafkit.errors import ParseError, PreconditionError, ShapeError
 from leafkit.matrixio import emit_matrix, parse_matrix, parse_matrix_text, write_matrix
-from leafkit.opcore import matrix_exp
+from leafkit.opcore import SpectralData, matrix_exp, spectral_norm
 
 from conftest import hermitian_with_spectrum, random_skew
 
@@ -365,6 +365,17 @@ class TestSubcommands:
         code, report = run(capsys, "algebra-dim", t)
         assert code == 0
         assert report["results"]["dimension"] == 2
+
+    def test_minpoly_bound_uses_the_applied_cluster_tolerance(self, capsys):
+        # on the golden T, 1e-8 ||T|| from an SVD and 1e-8 max |eigenvalue|
+        # from eigh, which the clustering applies, differ in the last bit
+        path = str(Path(__file__).parent / "golden" / "inputs" / "T.json")
+        t = parse_matrix(path)
+        code, report = run(capsys, "minpoly", path)
+        assert code == 0
+        tol = SpectralData.from_hermitian(0.5 * (t + t.conj().T)).cluster_tol
+        bound = tol * (1.0 + spectral_norm(t)) ** report["results"]["degree"]
+        assert report["results"]["bound"] == report["tolerances"]["annihilation"] == bound
 
 
 class TestExitCodes:
