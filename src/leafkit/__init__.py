@@ -94,12 +94,10 @@ _EXPORTS = {
         "build_reference",
         "continuity_modulus",
         "cross_section_phi",
-        "delta_map",
         "generated_algebra_dimension",
         "minimal_polynomial",
         "neighborhood_check",
         "offdiag_bound_check",
-        "psi_map",
         "well_definedness_check",
     ),
     "matrixio": ("emit_matrix", "parse_matrix", "write_matrix"),

@@ -14,7 +14,7 @@ Interpolation polynomials e_i with e_i(lambda_j) = delta_ij express the
 projections as e_i(T) and give a computable neighborhood criterion
 max_i ||e_i(R) - e_i(T)|| < 1 for the construction to apply at R.
 
-The cross-section, delta, the off-diagonal bound and the on-orbit
+The cross-section, the off-diagonal bound and the on-orbit
 neighborhood criterion work on the orthonormal eigenspace bases B_i
 (n x m_i) of the reference's eigenframe, E_i = B_i B_i*.  Only the
 off-orbit neighborhood criterion forms the n x n projections.
@@ -83,7 +83,6 @@ class CrossSectionResult:
 
     phi: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
-    delta: np.ndarray = field(repr=False)
     corner_min_sv: float
     residual: float
 
@@ -135,48 +134,21 @@ def neighborhood_check(ref: ReferenceOperator, r) -> NeighborhoodCheck:
     return NeighborhoodCheck(max_dev=dev, inside=dev < 1.0)
 
 
-def delta_map(ref: ReferenceOperator, v) -> np.ndarray:
-    """Block-diagonal compression sum_i E_i V E_i of a unitary along the
-    spectral blocks of the reference."""
-    vm = require_unitary(v, name="V")
-    require_same_size(ref.T, vm)
-    return _block_diagonal(ref.spectral, [b.conj().T @ vm @ b for b in ref.spectral.bases])
-
-
-def _block_diagonal(sd: SpectralData, cores: list[np.ndarray]) -> np.ndarray:
-    """sum_i B_i C_i B_i* for m_i x m_i cores C_i."""
-    out = np.zeros((sd.size, sd.size), dtype=np.complex128)
-    for b, c in zip(sd.bases, cores):
-        out += b @ c @ b.conj().T
-    return out
-
-
 def _psi(ref: ReferenceOperator, vm: np.ndarray, corner_tol: float = CORNER_TOL):
-    """psi(V) from the polar factors X_i of the corners B_i* V B_i, with
-    the corners and the smallest corner singular value; raises
+    """psi(V) = sum_i B_i X_i* B_i* from the polar factors X_i of the
+    corners B_i* V B_i, with the smallest corner singular value; raises
     CornerSingular outside the neighborhood.  V is not validated."""
-    corners = [b.conj().T @ vm @ b for b in ref.spectral.bases]
-    unitary_parts = []
+    psi = np.zeros((ref.size, ref.size), dtype=np.complex128)
     min_sv = np.inf
-    for m in corners:
-        u, s, wh = np.linalg.svd(m)
+    for b in ref.spectral.bases:
+        u, s, wh = np.linalg.svd(b.conj().T @ vm @ b)
         min_sv = min(min_sv, float(s[-1]))
         if s[-1] <= corner_tol:
             raise CornerSingular(
                 f"spectral-block compression has smallest singular value {s[-1]:.3e}"
             )
-        unitary_parts.append((u @ wh).conj().T)
-    return _block_diagonal(ref.spectral, unitary_parts), corners, min_sv
-
-
-def psi_map(ref: ReferenceOperator, v, corner_tol: float = CORNER_TOL) -> np.ndarray:
-    """Block-diagonal unitary psi(V) = sum_i X_i* built from the polar
-    factors E_i V E_i = X_i Q_i; psi(V) commutes with the reference and
-    psi(V)* (sum_i Q_i) is the polar decomposition of the compression
-    delta(V)."""
-    vm = require_unitary(v, name="V")
-    require_same_size(ref.T, vm)
-    return _psi(ref, vm, corner_tol)[0]
+        psi += b @ (u @ wh).conj().T @ b.conj().T
+    return psi, min_sv
 
 
 def cross_section_phi(ref: ReferenceOperator, v, corner_tol: float = CORNER_TOL) -> CrossSectionResult:
@@ -187,13 +159,10 @@ def cross_section_phi(ref: ReferenceOperator, v, corner_tol: float = CORNER_TOL)
     """
     vm = require_unitary(v, name="V")
     require_same_size(ref.T, vm)
-    psi, corners, min_sv = _psi(ref, vm, corner_tol)
-    delta = _block_diagonal(ref.spectral, corners)
+    psi, min_sv = _psi(ref, vm, corner_tol)
     phi = psi @ vm
     residual = spectral_norm(phi.conj().T @ ref.T @ phi - vm.conj().T @ ref.T @ vm)
-    return CrossSectionResult(
-        phi=phi, psi=psi, delta=delta, corner_min_sv=min_sv, residual=residual
-    )
+    return CrossSectionResult(phi=phi, psi=psi, corner_min_sv=min_sv, residual=residual)
 
 
 def well_definedness_check(ref: ReferenceOperator, v, g) -> float:

@@ -4,7 +4,9 @@ Hermitian spectral decompositions with eigenvalue clustering, singular
 values, polar decomposition, the exponential of skew-Hermitian matrices,
 and functional calculus on positive contractions.  Everything else in the
 package is built on these five operations.  The clustered eigenframe,
-SpectralData, is the one spectral object the other modules read.
+SpectralData, is the one spectral object the other modules read, and
+FrameUnits, a read-only sequence of rank-one units on its frame, is the
+one form in which they hand out a basis.
 
 All functions are pure: inputs are never mutated, outputs are fresh
 arrays, and there is no hidden state.
@@ -12,9 +14,10 @@ arrays, and there is no hidden state.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -246,6 +249,66 @@ class SpectralData:
         return (v * np.repeat(self.eigenvalues, self.multiplicities)) @ v.conj().T
 
 
+class FrameUnits(Sequence):
+    """Read-only sequence of the frame units a_k f_r f_s* + b_k f_s f_r*
+    (b_k is 0 or +-a_k) on the columns of an orthonormal frame F, for a
+    list of block pairs.  The length is counted from the block widths;
+    the layout (index and coefficient arrays) is built on its first use,
+    and each unit on its own access.
+
+    A pair is two column ranges a and b of F, of widths m_a and m_b, as
+    slices like SpectralData.blocks.  It gives the matrix units f_k f_l*
+    for each column k of a and l of b, row-major; with skew, the real
+    units spanning the skew-Hermitian matrices it supports instead: on a
+    diagonal pair (a == b) the m_a^2 units i f_k f_k*, then
+    f_k f_l* - f_l f_k* and i (f_k f_l* + f_l f_k*) for each k < l, and
+    on an off-diagonal pair those last two for each k of a and l of b.
+    """
+
+    def __init__(self, frame: np.ndarray, pairs: list[tuple[slice, slice]], skew: bool):
+        self._frame = frame
+        self._pairs = [((a.start, a.stop - a.start), (b.start, b.stop - b.start)) for a, b in pairs]
+        self._skew = skew
+        self._len = sum(ma * mb if a == b or not skew else 2 * ma * mb for (a, ma), (b, mb) in self._pairs)
+
+    def __len__(self) -> int:
+        return self._len
+
+    @cached_property
+    def layout(self) -> list[np.ndarray]:
+        """Columns r, s and coefficients a, b of every unit, in order."""
+        parts = []
+        for (a, ma), (b, mb) in self._pairs:
+            if self._skew and a == b:
+                d = a + np.arange(ma)
+                parts.append((d, d, np.full(ma, 1j), np.zeros(ma)))
+                k, l = np.triu_indices(ma, 1)
+            else:
+                k, l = np.divmod(np.arange(ma * mb), mb)
+            k, l = a + k, b + l
+            if self._skew:
+                parts.append((k.repeat(2), l.repeat(2), np.tile([1, 1j], len(k)), np.tile([-1, 1j], len(k))))
+            else:
+                parts.append((k, l, np.ones(len(k)), np.zeros(len(k))))
+        return [np.concatenate(p) for p in zip(*parts)]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("unit index out of range")
+        r, s, a, b = (x[i] for x in self.layout)
+        e = np.outer(self._frame[:, r], self._frame[:, s].conj())
+        if b == a:
+            e = e + e.conj().T
+        elif b == -a:
+            e = e - e.conj().T
+        return e if a == 1 else a * e
+
+
 @dataclass(frozen=True)
 class PolarFactors:
     """A = unitary_part @ positive_part."""
@@ -329,20 +392,3 @@ def random_skew_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     imaginary parts, antisymmetrized."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (g - g.conj().T)
-
-
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (g + g.conj().T)
-
-
-def random_unitary(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Unitary near the identity for small scale: exp(scale * skew)."""
-    return matrix_exp(scale * random_skew_hermitian(n, rng))
-
-
-def hermitian_from_spectrum(values: Sequence[float], rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian matrix with the prescribed eigenvalue multiset."""
-    values = np.asarray(values, dtype=float)
-    u = random_unitary(len(values), rng)
-    return u @ np.diag(values).astype(np.complex128) @ u.conj().T

@@ -9,13 +9,12 @@ the skew-Hermitian matrices into kernel and range of ad T.
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .opcore import (
+    FrameUnits,
     SpectralData,
     hermitian_companion,
     matrix_exp,
@@ -120,55 +119,6 @@ def pinching(t, s) -> np.ndarray:
     return normal_frame(tm).pinch(sm)
 
 
-class SkewUnits(Sequence):
-    """Read-only sequence of the real frame units spanning the
-    skew-Hermitian matrices supported on a list of block pairs of an
-    orthonormal frame F.  Each unit is built on access; the sequence holds
-    only F and the pairs.
-
-    A pair is two column ranges (a, m_a) and (b, m_b) of F.  A diagonal
-    pair (a == b) spans the skew-Hermitian algebra of its block with the
-    m_a^2 units i f_k f_k*, then f_k f_l* - f_l f_k* and
-    i (f_k f_l* + f_l f_k*) for each k < l; an off-diagonal pair has those
-    last two units for each column k of a and l of b, row-major.
-    """
-
-    def __init__(self, frame: np.ndarray, pairs: list[tuple[tuple[int, int], tuple[int, int]]]):
-        self._frame = frame
-        self._pairs = pairs
-        self._edges = np.cumsum([0, *(ma * mb if a == b else 2 * ma * mb for (a, ma), (b, mb) in pairs)])
-
-    def __len__(self) -> int:
-        return int(self._edges[-1])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("unit index out of range")
-        seg = int(np.searchsorted(self._edges, i, side="right")) - 1
-        (a, ma), (b, mb) = self._pairs[seg]
-        r = i - int(self._edges[seg])
-        f = self._frame
-        if a == b:
-            if r < ma:
-                return 1j * np.outer(f[:, a + r], f[:, a + r].conj())
-            r -= ma
-            k, l = 0, r // 2  # the (r // 2)-th pair k < l, row-major
-            while l >= ma - 1 - k:
-                l -= ma - 1 - k
-                k += 1
-            k, l = a + k, a + k + 1 + l
-        else:
-            k, l = divmod(r // 2, mb)
-            k, l = a + k, b + l
-        e = np.outer(f[:, k], f[:, l].conj())
-        return e - e.conj().T if r % 2 == 0 else 1j * (e + e.conj().T)
-
-
 @dataclass(frozen=True)
 class KernelRangeSplit:
     """Direct-sum decomposition of the skew-Hermitian matrices into
@@ -176,8 +126,8 @@ class KernelRangeSplit:
     the eigenbasis of T: the kernel units of each cluster, then the range
     units of each cluster pair (i, j), i < j, in order."""
 
-    kernel_basis: SkewUnits = field(repr=False)
-    range_basis: SkewUnits = field(repr=False)
+    kernel_basis: FrameUnits = field(repr=False)
+    range_basis: FrameUnits = field(repr=False)
     residual: float
 
 
@@ -192,15 +142,15 @@ def kernel_range_split(t) -> KernelRangeSplit:
     """
     sd = normal_frame(t, name="T")
     f = require_unitary(sd.frame, "eigenframe")
-    blocks = [(b.start, b.stop - b.start) for b in sd.blocks]
+    blocks = sd.blocks
 
     rng = np.random.default_rng(SPLIT_SEED)
     s = random_skew_hermitian(sd.size, rng)
     fh = f.conj().T
     recon = f @ (fh @ s @ f) @ fh
     return KernelRangeSplit(
-        kernel_basis=SkewUnits(f, [(a, a) for a in blocks]),
-        range_basis=SkewUnits(f, [(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1 :]]),
+        kernel_basis=FrameUnits(f, [(a, a) for a in blocks], skew=True),
+        range_basis=FrameUnits(f, [(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1 :]], skew=True),
         residual=float(np.linalg.norm(recon - s)),
     )
 

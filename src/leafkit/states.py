@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import NotHermitian, NotPositive
 from .opcore import (
+    FrameUnits,
     SpectralData,
-    as_matrix,
     hermitian_defect,
     is_hermitian,
     require_square,
@@ -45,9 +45,6 @@ class DensityFunctional:
     def size(self) -> int:
         return self.rho.shape[0]
 
-    def value(self, x) -> complex:
-        return complex(np.trace(self.rho @ as_matrix(x, "x")))
-
 
 @dataclass(frozen=True)
 class JordanPair:
@@ -68,12 +65,16 @@ def _psd_eigensystem(phi: DensityFunctional) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _support_columns(phi: DensityFunctional) -> np.ndarray:
+    """Orthonormal eigenvector columns spanning the range of a PSD density."""
+    w, v = _psd_eigensystem(phi)
+    return v[:, w > SUPPORT_REL_TOL * spectral_norm(phi.rho)]
+
+
 def support_projection(phi: DensityFunctional) -> np.ndarray:
     """Orthogonal projection onto the range of a PSD density: the smallest
     projection p with Tr(rho x) = Tr(rho p x p) for every x."""
-    w, v = _psd_eigensystem(phi)
-    thr = SUPPORT_REL_TOL * spectral_norm(phi.rho)
-    cols = v[:, w > thr]
+    cols = _support_columns(phi)
     return cols @ cols.conj().T
 
 
@@ -103,20 +104,17 @@ def is_faithful(phi: DensityFunctional, tol: float) -> bool:
     return bool(len(w) and w[0] > tol)
 
 
-def centralizer_basis(phi: DensityFunctional) -> list[np.ndarray]:
+def centralizer_basis(phi: DensityFunctional) -> FrameUnits:
     """Basis of the commutant {a : a rho = rho a}.
 
     In the eigenbasis of rho the commutant consists of the block-diagonal
     matrices along eigenvalue clusters, so the basis is the set of matrix
     units within each block, mapped back; its complex dimension is the sum
-    of the squared multiplicities.
+    of the squared multiplicities.  The units form a read-only sequence
+    over the eigenframe, each built on access.
     """
-    basis = []
-    for cols in SpectralData.from_hermitian(phi.rho).bases:
-        for a in cols.T:
-            for b in cols.T:
-                basis.append(np.outer(a, b.conj()))
-    return basis
+    sd = SpectralData.from_hermitian(phi.rho)
+    return FrameUnits(sd.frame, [(b, b) for b in sd.blocks], skew=False)
 
 
 @dataclass(frozen=True)
@@ -135,9 +133,7 @@ def centralizer_block_check(phi: DensityFunctional, u) -> CentralizerBlockCheck:
     unconstrained.
     """
     um = require_unitary(u, name="u")
-    w, v = _psd_eigensystem(phi)
-    thr = SUPPORT_REL_TOL * spectral_norm(phi.rho)
-    cols = v[:, w > thr]
+    cols = _support_columns(phi)
     p = cols @ cols.conj().T
 
     in_centralizer = spectral_norm(um @ phi.rho - phi.rho @ um) <= COMMUTATOR_TOL

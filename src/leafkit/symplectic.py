@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ClusterAmbiguity, NotHermitian, NotSkewHermitian, NotUnitVector, SizeMismatch
 from .opcore import (
+    FrameUnits,
     SpectralData,
     as_matrix,
     hermitian_companion,
@@ -209,33 +210,24 @@ class PolarizationMask:
 
     @cached_property
     def units(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column in G of each matrix unit spanning the
-        polarization, block by block in mask order, row-major in a block:
-        the order of basis."""
+        """Row a and column b in G of each matrix unit g_a g_b* spanning
+        the polarization, block by block in mask order, row-major in a
+        block."""
         edges = np.cumsum([0, *self.multiplicities])
-        rows, cols = [], []
-        for i, j in self.mask:
-            r, c = np.meshgrid(np.arange(edges[i], edges[i + 1]), np.arange(edges[j], edges[j + 1]), indexing="ij")
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-        return np.concatenate(rows), np.concatenate(cols)
+        blocks = [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+        pairs = [(blocks[i], blocks[j]) for i, j in self.mask]
+        rows, cols, _, _ = FrameUnits(self.ordered_frame, pairs, skew=False).layout
+        return rows, cols
 
     def element(self, coeff: np.ndarray) -> np.ndarray:
-        """sum_k coeff[k] basis[k], formed as G C G* with coefficient k
-        placed where unit k sits in C.  Leading axes of coeff give a
-        stack of elements."""
+        """sum_k coeff[k] g_a g_b* over the units (a, b) in order, formed
+        as G C G* with coefficient k placed where unit k sits in C.
+        Leading axes of coeff give a stack of elements."""
         g = self.ordered_frame
         n = g.shape[0]
         c = np.zeros(coeff.shape[:-1] + (n, n), dtype=np.complex128)
         c[(..., *self.units)] = coeff
         return g @ c @ g.conj().T
-
-    @property
-    def basis(self) -> list[np.ndarray]:
-        """The matrix units g_a g_b* of G spanning the polarization, in the
-        order of units; built on each access."""
-        g = self.ordered_frame
-        return [np.outer(g[:, a], g[:, b].conj()) for a, b in zip(*self.units)]
 
 
 def polarization(t) -> PolarizationMask:

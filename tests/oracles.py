@@ -25,7 +25,7 @@ import numpy as np
 
 from leafkit.cli import _json_default
 from leafkit.norming import adjoint_snf, eval_snf, op_norm
-from leafkit.opcore import random_skew_hermitian
+from leafkit.opcore import SpectralData, random_skew_hermitian
 from leafkit.symplectic import RADICAL_REL_TOL
 
 
@@ -159,6 +159,18 @@ def split_lists(sd):
         for c in bases[gi + 1 :]:
             rangeb.extend(units(b, c, False))
     return kernel, rangeb
+
+
+def centralizer_list(phi):
+    """The commutant basis of centralizer_basis as an eager list: per
+    eigenvalue cluster of rho, the matrix units a b* over the cluster's
+    eigenvectors, a outer and b inner."""
+    basis = []
+    for cols in SpectralData.from_hermitian(phi.rho).bases:
+        for a in cols.T:
+            for b in cols.T:
+                basis.append(np.outer(a, b.conj()))
+    return basis
 
 
 def radical_pairing_max(tm, sd, sample_count, rng):

@@ -10,12 +10,10 @@ from leafkit.cross_section import (
     build_reference,
     continuity_modulus,
     cross_section_phi,
-    delta_map,
     generated_algebra_dimension,
     minimal_polynomial,
     neighborhood_check,
     offdiag_bound_check,
-    psi_map,
     well_definedness_check,
 )
 from leafkit.errors import CornerSingular, NotCommuting, SingleCluster
@@ -188,40 +186,43 @@ class TestNeighborhoodCheck:
 
 
 class TestDeltaPsi:
+    """delta(V) = sum_i E_i V E_i is the pinching of V along the reference,
+    and psi(V) the field psi of cross_section_phi."""
+
     def test_delta_of_commuting_unitary(self, rng):
         t = hermitian_with_spectrum([1.0, 1.0, 2.0], rng)
-        ref = build_reference(t)
         g = commuting_unitary(t, rng)
-        np.testing.assert_allclose(delta_map(ref, g), g, atol=1e-10)
+        np.testing.assert_allclose(pinching(t, g), g, atol=1e-10)
 
     def test_delta_of_swap_vanishes(self):
-        ref = build_reference(np.diag([1.0, 2.0]).astype(complex))
+        t = np.diag([1.0, 2.0]).astype(complex)
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert spectral_norm(delta_map(ref, swap)) <= 1e-12
+        assert spectral_norm(pinching(t, swap)) <= 1e-12
 
     def test_delta_near_identity(self, rng):
         t = hermitian_with_spectrum([1.0, 2.0, 3.0], rng)
-        ref = build_reference(t)
         v = matrix_exp(0.05 * random_skew(3, rng))
-        d = delta_map(ref, v)
+        d = pinching(t, v)
         assert spectral_norm(d - v) <= 0.2
         assert np.linalg.svd(d, compute_uv=False)[-1] > 0.5
 
     def test_delta_is_the_pinching(self, rng):
+        # the pinching is the sum of the corners B_i* V B_i placed back
         t = hermitian_with_spectrum([1.0, 1.0, -2.0], rng)
         ref = build_reference(t)
         v = matrix_exp(0.3 * random_skew(3, rng))
-        np.testing.assert_allclose(delta_map(ref, v), pinching(t, v), atol=1e-10)
+        delta = sum(b @ (b.conj().T @ v @ b) @ b.conj().T for b in ref.spectral.bases)
+        np.testing.assert_allclose(pinching(t, v), delta, atol=1e-10)
 
     def test_psi_of_block_unitary_is_adjoint(self, rng):
         t = hermitian_with_spectrum([1.0, 1.0, 2.0], rng)
         ref = build_reference(t)
         g = commuting_unitary(t, rng)
-        np.testing.assert_allclose(psi_map(ref, g), g.conj().T, atol=1e-10)
+        np.testing.assert_allclose(cross_section_phi(ref, g).psi, g.conj().T, atol=1e-10)
 
     def test_psi_identity(self, rng):
         ref = build_reference(hermitian_with_spectrum([1.0, 2.0], rng))
-        np.testing.assert_allclose(psi_map(ref, np.eye(2)), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(cross_section_phi(ref, np.eye(2)).psi, np.eye(2), atol=1e-12)
 
     def test_psi_worked_example(self):
         c, s, alpha = 0.8, 0.6, 0.9
@@ -230,14 +231,14 @@ class TestDeltaPsi:
         v = np.array(
             [[c * np.exp(1j * alpha), s], [-s * np.exp(1j * alpha), c]], dtype=complex
         )
-        psi = psi_map(ref, v)
+        psi = cross_section_phi(ref, v).psi
         np.testing.assert_allclose(psi, np.diag([np.exp(-1j * alpha), 1.0]), atol=1e-12)
 
     def test_corner_singular(self):
         ref = build_reference(np.diag([1.0, 2.0]).astype(complex))
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
         with pytest.raises(CornerSingular):
-            psi_map(ref, swap)
+            cross_section_phi(ref, swap)
 
 
 class TestCrossSectionPhi:
@@ -286,10 +287,11 @@ class TestCrossSectionPhi:
         ref = build_reference(t)
         v = matrix_exp(0.3 * random_skew(4, rng))
         res = cross_section_phi(ref, v)
-        q = res.psi @ res.delta  # positive factor of delta = psi* q
+        delta = pinching(t, v)
+        q = res.psi @ delta  # positive factor of delta = psi* q
         assert spectral_norm(q - q.conj().T) <= 1e-10
         assert np.linalg.eigvalsh(0.5 * (q + q.conj().T))[0] >= -1e-10
-        np.testing.assert_allclose(res.psi.conj().T @ q, res.delta, atol=1e-9)
+        np.testing.assert_allclose(res.psi.conj().T @ q, delta, atol=1e-9)
 
     def test_idempotence_of_the_construction(self, rng):
         for _ in range(10):
@@ -494,7 +496,7 @@ class TestCrossSectionEdgeCases:
 
         ref = build_reference(np.diag([1.0, 2.0]).astype(complex))
         with pytest.raises(NotUnitary):
-            psi_map(ref, np.diag([2.0, 1.0]))
+            cross_section_phi(ref, np.diag([2.0, 1.0]))
 
     def test_gates_name_their_operand(self):
         from leafkit.errors import ShapeError

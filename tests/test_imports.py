@@ -37,8 +37,8 @@ EAGER_EXPORTS = {
     "symplectic": """PolarizationMask kaehler_check omega polarization projective_form_compare
         radical_check""",
     "cross_section": """CrossSectionResult ReferenceOperator build_reference continuity_modulus
-        cross_section_phi delta_map generated_algebra_dimension minimal_polynomial neighborhood_check
-        offdiag_bound_check psi_map well_definedness_check""",
+        cross_section_phi generated_algebra_dimension minimal_polynomial neighborhood_check
+        offdiag_bound_check well_definedness_check""",
     "matrixio": "emit_matrix parse_matrix write_matrix",
 }
 

@@ -1,9 +1,10 @@
-"""Call counts of the stacked sampled loops.
+"""Call counts of the stacked sampled loops and the lazy unit views.
 
 radical_check, adjoint_defect and offdiag_bound_check each evaluate their
 samples, candidates or block pairs as stacks.  These tests count the calls
 into the kernels underneath, so an edit that brings back one call per
-sample fails here without a timing test.
+sample fails here without a timing test.  Likewise kernel_range_split and
+centralizer_basis return views that build no unit until one is read.
 """
 
 from collections import Counter
@@ -15,6 +16,8 @@ from leafkit import norming
 from leafkit.cross_section import build_reference, offdiag_bound_check
 from leafkit.norming import adjoint_defect, lorentz, schatten
 from leafkit.opcore import SpectralData
+from leafkit.orbits import kernel_range_split
+from leafkit.states import DensityFunctional, centralizer_basis
 from leafkit.symplectic import _stacks, radical_check
 
 from conftest import SQRT_PI, hermitian_with_spectrum, random_unitary
@@ -67,3 +70,18 @@ def test_offdiag_takes_one_svd_per_core_shape(monkeypatch):
     shapes = {(a, b) for i, a in enumerate(mults) for j, b in enumerate(mults) if i != j}
     # the stacked cores of each shape, and the commutator TW - WT once
     assert calls == Counter({3: len(shapes), 2: 1})
+
+
+def test_unit_views_build_no_unit(monkeypatch):
+    # an eager centralizer list takes one np.outer per unit
+    rng = np.random.default_rng(11)
+    t = hermitian_with_spectrum(np.repeat([2.0, 1.0, -1.0], (4, 3, 1)), rng)
+    t = 0.5 * (t + t.conj().T)
+    calls = counted(monkeypatch, np, "outer")
+    split = kernel_range_split(t)
+    basis = centralizer_basis(DensityFunctional(t))
+    assert len(split.kernel_basis) == len(basis) == 4 * 4 + 3 * 3 + 1
+    assert len(split.range_basis) == 8 * 8 - len(basis)
+    assert calls == Counter()
+    basis[-1]
+    assert calls == Counter({None: 1})

