@@ -326,8 +326,7 @@ def cmd_centralizer(args, rho):
 def cmd_faithful(args, rho):
     from . import states
     phi = states.DensityFunctional(rho)
-    w = np.linalg.eigvalsh(phi.rho)
-    results = {"faithful": states.is_faithful(phi, args.tol), "min_eigenvalue": float(w[0])}
+    results = {"faithful": states.is_faithful(phi, args.tol), "min_eigenvalue": float(phi.eigensystem[0][0])}
     return results, {"tol": args.tol}, True
 
 

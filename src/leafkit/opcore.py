@@ -91,10 +91,6 @@ def defect_exceeds(d: np.ndarray, tol: float, m: np.ndarray | None = None) -> bo
     return spectral_norm(d) > tol * (1.0 if m is None else _scale(m))
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    return spectral_norm(a - a.conj().T)
-
-
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return not defect_exceeds(m - m.conj().T, tol, m)
 
@@ -106,7 +102,8 @@ def is_skew_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
 def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
     m = require_square(a, name)
     if not is_hermitian(m, tol):
-        raise NotHermitian(f"{name}: Hermitian defect {hermitian_defect(m):.3e} exceeds tolerance")
+        d = spectral_norm(m - m.conj().T)
+        raise NotHermitian(f"{name}: Hermitian defect {d:.3e} exceeds tolerance")
     return 0.5 * (m + m.conj().T)
 
 
@@ -193,7 +190,11 @@ class SpectralData:
         """Eigenframe of a matrix the caller has already validated and
         symmetrized.  cluster_tol defaults to 1e-8 times the spectral norm,
         which for Hermitian H is the largest |eigenvalue|."""
-        w, v = np.linalg.eigh(h)
+        return cls.from_eigh(*np.linalg.eigh(h), cluster_tol)
+
+    @classmethod
+    def from_eigh(cls, w: np.ndarray, v: np.ndarray, cluster_tol: float | None = None) -> SpectralData:
+        """Eigenframe from np.linalg.eigh's output w, v, clustered as in from_hermitian."""
         if cluster_tol is None:
             cluster_tol = DEFAULT_CLUSTER_REL_TOL * float(np.abs(w).max(initial=0.0))
         groups = cluster_indices(w, cluster_tol)

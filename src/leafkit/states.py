@@ -5,21 +5,26 @@ rho.  This module provides the support projection, the Jordan split into
 positive parts with orthogonal supports, faithfulness, and the centralizer
 {a : a rho = rho a} together with the block-structure checks that describe
 which unitaries fix phi under Ad(u)* conjugation.
+
+All of them read one eigensystem per density, which DensityFunctional
+takes once, on first use; ||rho|| is its largest |eigenvalue|.  Only the
+centralizer basis clusters the eigenvalues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NotHermitian, NotPositive
+from .errors import NotPositive
 from .opcore import (
     FrameUnits,
     SpectralData,
-    hermitian_defect,
-    is_hermitian,
-    require_square,
+    defect_exceeds,
+    is_unitary,
+    require_hermitian,
     require_unitary,
     spectral_norm,
 )
@@ -36,14 +41,17 @@ class DensityFunctional:
     herm_tol: float = 1e-10
 
     def __post_init__(self):
-        m = require_square(self.rho, "rho")
-        if not is_hermitian(m, self.herm_tol):
-            raise NotHermitian(f"density defect {hermitian_defect(m):.3e} exceeds herm_tol")
-        object.__setattr__(self, "rho", 0.5 * (m + m.conj().T))
+        object.__setattr__(self, "rho", require_hermitian(self.rho, self.herm_tol, "rho"))
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvector columns of rho, shared by all callers."""
+        return np.linalg.eigh(self.rho)
 
     @property
-    def size(self) -> int:
-        return self.rho.shape[0]
+    def norm(self) -> float:
+        """||rho||, the largest |eigenvalue|."""
+        return float(np.abs(self.eigensystem[0]).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -58,9 +66,8 @@ class JordanPair:
 
 
 def _psd_eigensystem(phi: DensityFunctional) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(phi.rho)
-    floor = -SUPPORT_REL_TOL * max(1.0, spectral_norm(phi.rho))
-    if len(w) and w[0] < floor:
+    w, v = phi.eigensystem
+    if len(w) and w[0] < -SUPPORT_REL_TOL * max(1.0, phi.norm):
         raise NotPositive(f"density has eigenvalue {w[0]:.3e} < 0")
     return w, v
 
@@ -68,7 +75,7 @@ def _psd_eigensystem(phi: DensityFunctional) -> tuple[np.ndarray, np.ndarray]:
 def _support_columns(phi: DensityFunctional) -> np.ndarray:
     """Orthonormal eigenvector columns spanning the range of a PSD density."""
     w, v = _psd_eigensystem(phi)
-    return v[:, w > SUPPORT_REL_TOL * spectral_norm(phi.rho)]
+    return v[:, w > SUPPORT_REL_TOL * phi.norm]
 
 
 def support_projection(phi: DensityFunctional) -> np.ndarray:
@@ -82,19 +89,23 @@ def jordan_decompose(phi: DensityFunctional) -> JordanPair:
     """Split the density into its positive and negative spectral parts.
 
     Among all decompositions rho = rho1 - rho2 with both parts PSD, the
-    spectral split is the unique one whose supports are orthogonal.
+    spectral split is the unique one whose supports are orthogonal.  The
+    parts keep every eigenvalue of their sign; the supports leave out
+    those within SUPPORT_REL_TOL ||rho|| of 0, the roundoff of a kernel.
     """
-    w, v = np.linalg.eigh(phi.rho)
-    pos_cols = v[:, w > 0]
-    neg_cols = v[:, w < 0]
-    pos = (pos_cols * w[w > 0]) @ pos_cols.conj().T
-    neg = (neg_cols * (-w[w < 0])) @ neg_cols.conj().T
-    return JordanPair(
-        positive_part=0.5 * (pos + pos.conj().T),
-        negative_part=0.5 * (neg + neg.conj().T),
-        support_pos=pos_cols @ pos_cols.conj().T,
-        support_neg=neg_cols @ neg_cols.conj().T,
-    )
+    w, v = phi.eigensystem
+    cut = SUPPORT_REL_TOL * phi.norm
+
+    def split(sign: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cols = v[:, sign]
+        part = (cols * np.abs(w[sign])) @ cols.conj().T
+        if not np.array_equal(keep, sign):
+            cols = v[:, keep]
+        return 0.5 * (part + part.conj().T), cols @ cols.conj().T
+
+    positive_part, support_pos = split(w > 0, w > cut)
+    negative_part, support_neg = split(w < 0, w < -cut)
+    return JordanPair(positive_part, negative_part, support_pos, support_neg)
 
 
 def is_faithful(phi: DensityFunctional, tol: float) -> bool:
@@ -113,7 +124,7 @@ def centralizer_basis(phi: DensityFunctional) -> FrameUnits:
     of the squared multiplicities.  The units form a read-only sequence
     over the eigenframe, each built on access.
     """
-    sd = SpectralData.from_hermitian(phi.rho)
+    sd = SpectralData.from_eigh(*phi.eigensystem)
     return FrameUnits(sd.frame, [(b, b) for b in sd.blocks], skew=False)
 
 
@@ -136,14 +147,13 @@ def centralizer_block_check(phi: DensityFunctional, u) -> CentralizerBlockCheck:
     cols = _support_columns(phi)
     p = cols @ cols.conj().T
 
-    in_centralizer = spectral_norm(um @ phi.rho - phi.rho @ um) <= COMMUTATOR_TOL
-    commutes_with_support = spectral_norm(um @ p - p @ um) <= COMMUTATOR_TOL
+    in_centralizer = not defect_exceeds(um @ phi.rho - phi.rho @ um, COMMUTATOR_TOL)
+    commutes_with_support = not defect_exceeds(um @ p - p @ um, COMMUTATOR_TOL)
 
     u_corner = cols.conj().T @ um @ cols
     rho_corner = cols.conj().T @ phi.rho @ cols
-    r = u_corner.shape[0]
-    corner_unitary = spectral_norm(u_corner.conj().T @ u_corner - np.eye(r)) <= COMMUTATOR_TOL
-    corner_commutes = spectral_norm(u_corner @ rho_corner - rho_corner @ u_corner) <= COMMUTATOR_TOL
+    corner_unitary = is_unitary(u_corner, COMMUTATOR_TOL)
+    corner_commutes = not defect_exceeds(u_corner @ rho_corner - rho_corner @ u_corner, COMMUTATOR_TOL)
     return CentralizerBlockCheck(
         in_centralizer=in_centralizer,
         commutes_with_support=commutes_with_support,
@@ -166,7 +176,7 @@ def jordan_intersection_check(phi: DensityFunctional, u) -> JordanIntersectionCh
     pair = jordan_decompose(phi)
 
     def fixes(mat: np.ndarray) -> bool:
-        return spectral_norm(um.conj().T @ mat @ um - mat) <= COMMUTATOR_TOL
+        return not defect_exceeds(um.conj().T @ mat @ um - mat, COMMUTATOR_TOL)
 
     return JordanIntersectionCheck(
         fixes_phi=fixes(phi.rho),

@@ -268,6 +268,16 @@ class TestSubcommands:
         code, report = run(capsys, "faithful", rho)
         assert report["results"]["faithful"] is False
 
+    def test_faithful_reports_the_eigenvalue_it_compares(self, capsys, workdir, rng):
+        # --tol at the reported minimum fails the strict test w_min > tol;
+        # one ulp below it passes
+        _, put = workdir
+        rho = put("rho.json", hermitian_with_spectrum([0.3, 1.0, 2.0, 1e-3], rng))
+        w = run(capsys, "faithful", rho)[1]["results"]["min_eigenvalue"]
+        for tol, faithful in ((w, False), (np.nextafter(w, 0.0), True)):
+            code, report = run(capsys, "faithful", rho, "--tol", repr(float(tol)))
+            assert code == 0 and report["results"] == {"faithful": faithful, "min_eigenvalue": w}
+
     def test_pinch_split_omega(self, capsys, workdir, rng):
         _, put = workdir
         t = put("t.json", np.diag([1.0, 2.0, 3.0]))

@@ -1,10 +1,12 @@
-"""Call counts of the stacked sampled loops and the lazy unit views.
+"""Call counts of the stacked sampled loops, the lazy unit views and the
+shared density eigensystem.
 
 radical_check, adjoint_defect and offdiag_bound_check each evaluate their
 samples, candidates or block pairs as stacks.  These tests count the calls
 into the kernels underneath, so an edit that brings back one call per
 sample fails here without a timing test.  Likewise kernel_range_split and
-centralizer_basis return views that build no unit until one is read.
+centralizer_basis return views that build no unit until one is read, the
+state functions share one eigendecomposition per density.
 """
 
 from collections import Counter
@@ -12,12 +14,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from leafkit import norming
+from leafkit import norming, opcore, states
 from leafkit.cross_section import build_reference, offdiag_bound_check
 from leafkit.norming import adjoint_defect, lorentz, schatten
 from leafkit.opcore import SpectralData
 from leafkit.orbits import kernel_range_split
-from leafkit.states import DensityFunctional, centralizer_basis
+from leafkit.states import (
+    DensityFunctional,
+    centralizer_basis,
+    is_faithful,
+    jordan_decompose,
+    support_projection,
+)
 from leafkit.symplectic import _stacks, radical_check
 
 from conftest import SQRT_PI, hermitian_with_spectrum, random_unitary
@@ -85,3 +93,25 @@ def test_unit_views_build_no_unit(monkeypatch):
     assert calls == Counter()
     basis[-1]
     assert calls == Counter({None: 1})
+
+
+def count_norms(monkeypatch, *owners):
+    """Count the spectral norms taken through each owner's spectral_norm.
+    np.linalg.norm(a, 2) reaches numpy's SVD through a name internal to
+    numpy, so a patched np.linalg.svd would not see them."""
+    return [counted(monkeypatch, owner, "spectral_norm") for owner in owners]
+
+
+def test_state_functions_share_one_eigh(monkeypatch):
+    rng = np.random.default_rng(12)
+    phi = DensityFunctional(hermitian_with_spectrum(np.repeat([2.0, 1.0, 0.0], (3, 2, 2)), rng))
+    eigh = counted(monkeypatch, np.linalg, "eigh")
+    solvers = [counted(monkeypatch, np.linalg, name) for name in ("eigvalsh", "svd")]
+    norms = count_norms(monkeypatch, states, opcore)
+    support_projection(phi)
+    jordan_decompose(phi)
+    is_faithful(phi, 1e-12)
+    centralizer_basis(phi)
+    assert eigh == Counter({None: 1})
+    assert solvers + norms == [Counter()] * 4
+

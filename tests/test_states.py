@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from leafkit.errors import NotHermitian, NotPositive, NotUnitary
+from leafkit.errors import ClusterAmbiguity, NotHermitian, NotPositive, NotUnitary
 from leafkit.opcore import spectral_norm
 from leafkit.states import (
     DensityFunctional,
@@ -16,7 +16,7 @@ from leafkit.states import (
     support_projection,
 )
 
-from conftest import random_hermitian, random_psd, random_skew, random_unitary
+from conftest import hermitian_with_spectrum, random_hermitian, random_psd, random_skew, random_unitary
 
 
 def density(mat):
@@ -62,8 +62,18 @@ class TestSupport:
             support_projection(density(np.diag([1.0, -1.0])))
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(NotHermitian, match="rho: Hermitian defect"):
             density(np.array([[0, 1], [0, 0]]))
+
+    def test_support_and_split_need_no_clustering(self):
+        # a gap of 1e-8 ||rho|| sits on the cluster tolerance: only the
+        # centralizer basis, which clusters, may refuse it
+        phi = density(np.diag([0.0, 1.0, 1.0 + 1e-8]))
+        np.testing.assert_allclose(support_projection(phi), np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(jordan_decompose(phi).support_pos, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+        assert not is_faithful(phi, tol=1e-12)
+        with pytest.raises(ClusterAmbiguity):
+            centralizer_basis(phi)
 
 
 class TestJordan:
@@ -86,6 +96,13 @@ class TestJordan:
             assert spectral_norm(pair.support_pos @ pair.support_neg) <= 1e-10
             assert np.linalg.eigvalsh(pair.positive_part)[0] >= -1e-10
             assert np.linalg.eigvalsh(pair.negative_part)[0] >= -1e-10
+
+    def test_supports_leave_out_the_kernel(self, rng):
+        # the kernel's roundoff eigenvalues (~1e-16) join neither support
+        for _ in range(200):
+            pair = jordan_decompose(density(hermitian_with_spectrum([2.0, 1.0, 0.0, 0.0, -1.5], rng)))
+            ranks = [int(round(np.trace(s).real)) for s in (pair.support_pos, pair.support_neg)]
+            assert ranks == [2, 1]
 
     def test_perturbed_split_loses_orthogonality(self):
         # rho = diag(2,-3) also splits as diag(3,0) - diag(1,3), but then
