@@ -312,9 +312,22 @@ def cmd_centralizer(args, rho):
     from . import orbits, states
     phi = states.DensityFunctional(rho)
     basis = states.centralizer_basis(phi)
-    worst = max(
-        (spectral_norm(b @ phi.rho - phi.rho @ b) for b in basis), default=0.0
-    )
+    # the unit f_r f_s* has the rank-2 commutator A B* with A = [f_r, y_r]
+    # and B = [y_s, -f_s], where y = rho f comes from rho, not from the
+    # eigenvalues; after A = QR, its norm is that of the n x 2 matrix B R*,
+    # taken in stacks of at most 2^15 entries
+    f = basis.frame
+    y = phi.rho @ f
+    r, s = basis.layout[:2]
+    step = max(1, 2**14 // len(f))
+    worst = 0.0
+    for k in range(0, len(basis), step):
+        rk, sk = r[k : k + step], s[k : k + step]
+        left = np.stack([f[:, rk].T, y[:, rk].T], axis=2)
+        right = np.stack([y[:, sk].T, -f[:, sk].T], axis=2)
+        rr = np.linalg.qr(left, mode="r")
+        sv = np.linalg.svd(right @ rr.conj().swapaxes(1, 2), compute_uv=False)
+        worst = max(worst, float(sv[:, 0].max()))
     expected = orbits.isotropy_dimension(phi.rho)
     ok = len(basis) == expected and _within(worst, 1e-10, rho)
     results = {"dimension": len(basis), "expected_dimension": expected, "max_commutator": worst}

@@ -252,7 +252,7 @@ class SpectralData:
 
 class FrameUnits(Sequence):
     """Read-only sequence of the frame units a_k f_r f_s* + b_k f_s f_r*
-    (b_k is 0 or +-a_k) on the columns of an orthonormal frame F, for a
+    (b_k is 0 or +-a_k) on the columns of an orthonormal frame F (frame), for a
     list of block pairs.  The length is counted from the block widths;
     the layout (index and coefficient arrays) is built on its first use,
     and each unit on its own access.
@@ -267,7 +267,7 @@ class FrameUnits(Sequence):
     """
 
     def __init__(self, frame: np.ndarray, pairs: list[tuple[slice, slice]], skew: bool):
-        self._frame = frame
+        self.frame = frame
         self._pairs = [((a.start, a.stop - a.start), (b.start, b.stop - b.start)) for a, b in pairs]
         self._skew = skew
         self._len = sum(ma * mb if a == b or not skew else 2 * ma * mb for (a, ma), (b, mb) in self._pairs)
@@ -302,7 +302,7 @@ class FrameUnits(Sequence):
         if not 0 <= i < len(self):
             raise IndexError("unit index out of range")
         r, s, a, b = (x[i] for x in self.layout)
-        e = np.outer(self._frame[:, r], self._frame[:, s].conj())
+        e = np.outer(self.frame[:, r], self.frame[:, s].conj())
         if b == a:
             e = e + e.conj().T
         elif b == -a:

@@ -13,7 +13,7 @@ from leafkit.errors import ParseError, PreconditionError, ShapeError
 from leafkit.matrixio import emit_matrix, parse_matrix, parse_matrix_text, write_matrix
 from leafkit.opcore import SpectralData, matrix_exp, spectral_norm
 
-from conftest import hermitian_with_spectrum, random_skew
+from conftest import hermitian_with_spectrum, random_skew, random_unitary
 
 
 def run(capsys, *argv):
@@ -267,6 +267,23 @@ class TestSubcommands:
             assert code == 0, cmd
         code, report = run(capsys, "faithful", rho)
         assert report["results"]["faithful"] is False
+
+    def test_centralizer_measures_the_units_it_is_given(self, capsys, workdir, monkeypatch, rng):
+        # units over a frame that does not diagonalize rho: the report's
+        # stacked rank-2 norms match one dense commutator norm per unit
+        from leafkit import states
+        from leafkit.opcore import FrameUnits
+
+        _, put = workdir
+        rho = hermitian_with_spectrum(np.repeat([2.0, 1.0, -1.0], (3, 2, 2)), rng)
+        rho = 0.5 * (rho + rho.conj().T)
+        blocks = [slice(0, 3), slice(3, 5), slice(5, 7)]
+        units = FrameUnits(random_unitary(7, rng), [(b, b) for b in blocks], skew=False)
+        monkeypatch.setattr(states, "centralizer_basis", lambda phi: units)
+        code, report = run(capsys, "centralizer", put("rho.json", rho))
+        worst = max(spectral_norm(u @ rho - rho @ u) for u in units)
+        assert code == 1 and worst > 0.1
+        assert report["results"]["max_commutator"] == pytest.approx(worst, rel=1e-12)
 
     def test_faithful_reports_the_eigenvalue_it_compares(self, capsys, workdir, rng):
         # --tol at the reported minimum fails the strict test w_min > tol;

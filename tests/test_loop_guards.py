@@ -6,7 +6,8 @@ samples, candidates or block pairs as stacks.  These tests count the calls
 into the kernels underneath, so an edit that brings back one call per
 sample fails here without a timing test.  Likewise kernel_range_split and
 centralizer_basis return views that build no unit until one is read, the
-state functions share one eigendecomposition per density.
+state functions share one eigendecomposition per density, and the
+centralizer report checks its units in stacks.
 """
 
 from collections import Counter
@@ -14,8 +15,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from leafkit import norming, opcore, states
+from leafkit import cli, norming, opcore, states
+from leafkit.cli import run_command
 from leafkit.cross_section import build_reference, offdiag_bound_check
+from leafkit.matrixio import write_matrix
 from leafkit.norming import adjoint_defect, lorentz, schatten
 from leafkit.opcore import SpectralData
 from leafkit.orbits import kernel_range_split
@@ -115,3 +118,16 @@ def test_state_functions_share_one_eigh(monkeypatch):
     assert eigh == Counter({None: 1})
     assert solvers + norms == [Counter()] * 4
 
+
+def test_centralizer_report_takes_no_unit_svd(monkeypatch, tmp_path, capsys):
+    # four clusters of 6: 144 units, each with an n x n commutator
+    n = 24
+    rng = np.random.default_rng(13)
+    write_matrix(hermitian_with_spectrum(np.repeat([3.0, 1.0, -0.5, -2.0], 6), rng), tmp_path / "rho.json")
+    norms = count_norms(monkeypatch, cli, opcore)
+    svd = counted(monkeypatch, np.linalg, "svd", lambda a, **_: np.shape(a)[1:])
+    assert run_command(["centralizer", str(tmp_path / "rho.json")]) == 0
+    capsys.readouterr()
+    assert norms == [Counter()] * 2
+    # one stacked SVD of n x 2 factors per stack of units
+    assert list(svd) == [(n, 2)] and svd[(n, 2)] <= 2
