@@ -34,7 +34,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -229,8 +229,7 @@ def cmd_norm(args, a):
 def cmd_dual_check(args, t, s):
     from . import norming
     res = norming.duality_gap(args.phi, t, s)
-    results = {"pairing": res.pairing, "bound": res.bound, "gap": res.gap}
-    return results, {"gap_floor": -1e-9}, res.gap >= -1e-9
+    return asdict(res), {"gap_floor": -1e-9}, res.gap >= -1e-9
 
 
 @command("adjoint", "closed-form adjoint gauge", phi=PHI)
@@ -246,13 +245,7 @@ def cmd_adjoint(args):
 def cmd_sandwich(args, f1, f2):
     from . import norming
     res = norming.rank_sandwich_check(args.phi, args.k, f1, f2)
-    results = {
-        "lower_ok": res.lower_ok,
-        "upper_ok": res.upper_ok,
-        "operator_dist": res.operator_dist,
-        "ideal_dist": res.ideal_dist,
-    }
-    return results, {"slack": 1e-9}, res.lower_ok and res.upper_ok
+    return asdict(res), {"slack": 1e-9}, res.lower_ok and res.upper_ok
 
 
 @command("pi-regularity", "regularity ratios of a power weight sequence",
@@ -389,13 +382,7 @@ def cmd_omega(args, t, x, y):
 def cmd_radical(args, t):
     from . import symplectic
     res = symplectic.radical_check(t, sample_count=args.samples, seed=args.seed)
-    results = {
-        "radical_dim": res.radical_dim,
-        "isotropy_dim": res.isotropy_dim,
-        "match": res.match,
-        "sampled_pairing_max": res.sampled_pairing_max,
-    }
-    return results, {}, res.match
+    return asdict(res), {}, res.match
 
 
 @command("polarization", "half-space polarization and its properties", ["T"], seed=SEED)
@@ -429,12 +416,7 @@ def cmd_kahler_check(args, t):
     from . import symplectic
     res = symplectic.kaehler_check(t, sample_count=args.samples, seed=args.seed)
     ok = res.isotropy_max_abs <= 1e-9 * res.scale and res.positivity_min >= -1e-9 * res.scale
-    results = {
-        "isotropy_max_abs": res.isotropy_max_abs,
-        "positivity_min": res.positivity_min,
-        "scale": res.scale,
-    }
-    return results, {"isotropy": 1e-9, "positivity_floor": -1e-9}, ok
+    return asdict(res), {"isotropy": 1e-9, "positivity_floor": -1e-9}, ok
 
 
 @command("projective-compare", "orbit form vs projective-space form", ["x0", "a1", "a2"])
@@ -443,12 +425,7 @@ def cmd_projective_compare(args, x0, a1, a2):
     if min(x0.shape) != 1:
         raise ShapeError(f"x0: expected a row or column vector, got shape {x0.shape}")
     res = symplectic.projective_form_compare(x0.ravel(), a1, a2)
-    results = {
-        "orbit_form": res.orbit_form,
-        "geometric_form": res.geometric_form,
-        "abs_match": res.abs_match,
-    }
-    return results, {"abs_match": 1e-9}, res.abs_match
+    return asdict(res), {"abs_match": 1e-9}, res.abs_match
 
 
 @command("orbit-sample", "random unitary conjugates of a reference", ["T"],
