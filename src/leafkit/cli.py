@@ -43,12 +43,12 @@ from .errors import ParseError, PreconditionError, ShapeError
 from .matrixio import indented_matrix_text, matrix_to_obj, parse_matrix, write_matrix
 from .opcore import (
     CORNER_TOL,
-    SpectralData,
     matrix_exp,
     require_hermitian,
     require_same_size,
     require_square,
     singular_values,
+    spectral_decompose,
     spectral_norm,
 )
 
@@ -466,7 +466,7 @@ def cmd_cross_section(args, t, v):
     unitary_defect = spectral_norm(res.phi.conj().T @ res.phi - np.eye(n))
     psi_comm = spectral_norm(res.psi @ ref.T - ref.T @ res.psi)
     ok = (
-        res.residual <= args.tol
+        _within(res.residual, args.tol, t)
         and unitary_defect <= 1e-9
         and _within(psi_comm, 1e-9, t)
     )
@@ -527,7 +527,7 @@ def cmd_offdiag_bound(args, t, w):
 @command("minpoly", "monic annihilating polynomial of the clustered spectrum", ["T"], tol=TOL)
 def cmd_minpoly(args, t):
     from . import cross_section as cs
-    sd = SpectralData.from_hermitian(require_hermitian(t, name="T"), args.tol)
+    sd = spectral_decompose(require_hermitian(t, name="T"), args.tol)
     poly = cs.cluster_polynomial(sd)
     roots = poly.roots()
     n = t.shape[0]

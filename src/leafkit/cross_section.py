@@ -36,6 +36,7 @@ from .opcore import (
     require_hermitian,
     require_same_size,
     require_unitary,
+    spectral_decompose,
     spectral_norm,
 )
 from .norming import NormingFunctionSpec, eval_snf_many, op_norm
@@ -91,7 +92,7 @@ def build_reference(t) -> ReferenceOperator:
     """Clustered eigenframe of a Hermitian reference; e_i(T) reproduces
     the projection E_i."""
     tm = require_hermitian(t, name="T")
-    return ReferenceOperator(T=tm, spectral=SpectralData.from_hermitian(tm))
+    return ReferenceOperator(T=tm, spectral=spectral_decompose(tm))
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def minimal_polynomial(t, tol: float | None = None) -> Polynomial:
     """Monic polynomial whose roots are the distinct eigenvalue clusters
     of a Hermitian matrix; it annihilates the matrix up to
     tol (1 + ||T||)^degree, tol the cluster tolerance applied."""
-    return cluster_polynomial(SpectralData.from_hermitian(require_hermitian(t, name="T"), tol))
+    return cluster_polynomial(spectral_decompose(require_hermitian(t, name="T"), tol))
 
 
 def cluster_polynomial(sd: SpectralData) -> Polynomial:
@@ -266,5 +267,5 @@ def generated_algebra_dimension(t, tol: float | None = None) -> int:
     """Complex dimension of the (non-unital) *-algebra generated by a
     Hermitian matrix: the number of distinct nonzero eigenvalue clusters,
     i.e. of independent nonzero spectral projections."""
-    sd = SpectralData.from_hermitian(require_hermitian(t, name="T"), tol)
-    return int(np.count_nonzero(np.abs(sd.eigenvalues) > max(sd.cluster_tol, 0.0)))
+    sd = spectral_decompose(require_hermitian(t, name="T"), tol)
+    return int(np.count_nonzero(np.abs(sd.eigenvalues) > sd.cluster_tol))

@@ -319,7 +319,8 @@ class PolarFactors:
 
 
 def spectral_decompose(a, cluster_tol: float | None = None) -> SpectralData:
-    """Hermitian eigendecomposition with clustered spectral projections.
+    """Hermitian eigendecomposition with clustered spectral projections,
+    the one checked constructor of SpectralData.
 
     Eigenvalues within cluster_tol of each other merge into a single
     projection; the reported eigenvalue of a cluster is the mean of its

@@ -24,6 +24,7 @@ from .opcore import (
     require_skew_hermitian,
     require_square,
     require_unitary,
+    spectral_decompose,
 )
 
 SPLIT_SEED = 1618
@@ -36,7 +37,7 @@ def normal_frame(t, cluster_tol: float | None = None, name: str = "matrix") -> S
     eigenvalues are the real numbers theta with spectrum {i theta} in the
     skew case and {theta} in the Hermitian case.
     """
-    return SpectralData.from_hermitian(hermitian_companion(t, name), cluster_tol)
+    return spectral_decompose(hermitian_companion(t, name), cluster_tol)
 
 
 def characteristic_tangent(rho, a) -> np.ndarray:

@@ -13,25 +13,27 @@ numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ClusterAmbiguity, NotHermitian, NotSkewHermitian, NotUnitVector, SizeMismatch
+from .errors import (
+    ClusterAmbiguity, NotHermitian, NotSkewHermitian, NotUnitVector, PreconditionError, SizeMismatch,
+)
 from .opcore import (
+    HERM_TOL,
     FrameUnits,
     SpectralData,
     as_matrix,
     hermitian_companion,
-    is_skew_hermitian,
     require_same_size,
-    require_square,
+    require_skew_hermitian,
     require_unitary,
+    spectral_decompose,
     spectral_norm,
 )
 
-RADICAL_REL_TOL = 1e-9
 # matrix entries in one stack of sampled draws: bounds the working set
 _STACK_ENTRIES = 8192
 
@@ -45,19 +47,13 @@ def _companion(t, name: str = "T") -> np.ndarray:
         raise NotSkewHermitian(f"{name}: expected a skew-Hermitian (or Hermitian) matrix") from None
 
 
-def _as_skew(t, name: str = "T") -> np.ndarray:
-    """Return the skew-Hermitian representative: skew input unchanged,
-    Hermitian input multiplied by i."""
-    return 1j * _companion(t, name)
-
-
 def _reference(t) -> tuple[np.ndarray, SpectralData]:
     """The skew-Hermitian representative iH of T and the clustered
     eigenframe F of H.  T is classified once, and F is certified unitary
     once, so X -> F X F* is an isometry and every count and residual can
     be read off in frame coordinates."""
     h = _companion(t)
-    sd = SpectralData.from_hermitian(h)
+    sd = spectral_decompose(h)
     require_unitary(sd.frame, "eigenframe")
     return 1j * h, sd
 
@@ -70,7 +66,7 @@ def _trace_form(tm: np.ndarray, z: np.ndarray, w: np.ndarray):
 def omega_complexified(t, z, w) -> complex:
     """Complex-bilinear trace form Tr(T [Z, W]) on arbitrary complex
     matrices (the extension of the orbit 2-form to the complexification)."""
-    tm = _as_skew(t)
+    tm = 1j * _companion(t)
     zm = as_matrix(z, "Z")
     wm = as_matrix(w, "W")
     require_same_size(tm, zm)
@@ -84,12 +80,9 @@ def omega(t, x, y) -> float:
 
     A Hermitian reference is accepted and read as its skew partner iT;
     X and Y must be genuinely skew-Hermitian."""
-    tm = _as_skew(t)
-    xm = require_square(x, "X")
-    ym = require_square(y, "Y")
-    for name, m in (("X", xm), ("Y", ym)):
-        if not is_skew_hermitian(m):
-            raise NotSkewHermitian(f"{name}: expected a skew-Hermitian matrix")
+    tm = 1j * _companion(t)
+    xm = require_skew_hermitian(x, name="X")
+    ym = require_skew_hermitian(y, name="Y")
     return float(omega_complexified(tm, xm, ym).real)
 
 
@@ -115,9 +108,13 @@ def radical_check(t, sample_count: int = 100, seed: int = 0) -> RadicalCheck:
     couplings have spectral norm at most 4 ||offdiag(D)||_F.  By Weyl's
     inequality each singular value of the full Gram lies within that
     bound of one of the kept 2x2 blocks, so the count is certified when
-    no kept value lies within the bound of the cutoff
-    RADICAL_REL_TOL * max(largest value, ||T||); otherwise
-    ClusterAmbiguity is raised.  T = 0 counts as all radical.
+    no kept value lies within the bound of the cutoff 3 cluster_tol;
+    otherwise ClusterAmbiguity is raised.  The cutoff is the equality rule
+    of the cluster partition: cluster_indices keeps one cluster within
+    cluster_tol and distinct clusters more than 2 cluster_tol apart, so
+    a pair value 2 |theta_a - theta_b| is at most 2 cluster_tol inside a
+    cluster and above 4 cluster_tol across clusters, and the certified
+    count is the isotropy dimension.  T = 0 counts as all radical.
 
     Also reports the largest sampled pairing |omega_T(K, S)| over random
     K in Ker(ad T) and random skew S (zero up to roundoff when the match
@@ -135,16 +132,13 @@ def radical_check(t, sample_count: int = 100, seed: int = 0) -> RadicalCheck:
     # singular values of the kept Gram: 0 for each i f_a f_a*, |g| twice per pair block
     kept = np.concatenate([np.zeros(n), pair, pair])
     drop = 4.0 * np.linalg.norm(d - np.diag(diag))
-    top = kept.max(initial=0.0)
-    norm_t = float(np.abs(sd.values).max(initial=0.0))
-    lo = RADICAL_REL_TOL * max(top - drop, norm_t) - drop
-    hi = RADICAL_REL_TOL * max(top + drop, norm_t) + drop
-    if np.any((kept > lo) & (kept <= hi)):
+    cut = 3.0 * sd.cluster_tol
+    if np.any((kept > cut - drop) & (kept <= cut + drop)):
         raise ClusterAmbiguity(
             f"radical count not certified: a Gram singular value lies within the dropped-coupling "
-            f"bound {drop:.3e} of the cutoff {RADICAL_REL_TOL * max(top, norm_t):.3e}"
+            f"bound {drop:.3e} of the cutoff {cut:.3e}"
         )
-    radical_dim = int(np.count_nonzero(kept <= lo))
+    radical_dim = int(np.count_nonzero(kept <= cut - drop))
     iso = int(np.sum(sd.multiplicities ** 2))
 
     rng = np.random.default_rng(seed)
@@ -168,28 +162,40 @@ def radical_check(t, sample_count: int = 100, seed: int = 0) -> RadicalCheck:
 
 @dataclass(frozen=True)
 class PolarizationMask:
-    """Half-space polarization attached to T.
+    """Half-space polarization attached to T, derived from one field: the
+    clustered eigenframe spectral of T's Hermitian companion.
 
     Clusters are indexed after sorting decreasingly by theta (the
     eigenvalues of T are i theta): sorted cluster i is cluster
-    block_order[i] of the ascending eigenframe spectral.  The mask holds
-    the sorted cluster pairs (i, j) whose blocks belong to the
-    polarization, i.e. all pairs with theta_i >= theta_j.  In the
-    polarization-ordered frame G (the eigenframe columns with the clusters
-    in sorted order) the polarization is G C G* for C supported on the
-    upper block triangle.
+    block_order[i] of the ascending eigenframe.  The mask holds the
+    sorted cluster pairs (i, j) whose blocks belong to the polarization,
+    i.e. all pairs with theta_i >= theta_j.  In the polarization-ordered
+    frame G (the eigenframe columns with the clusters in sorted order) the
+    polarization is G C G* for C supported on the upper block triangle.
     """
 
-    block_order: tuple[int, ...]
-    mask: tuple[tuple[int, int], ...]
-    thetas: tuple[float, ...] = ()
-    multiplicities: tuple[int, ...] = ()
-    spectral: SpectralData | None = field(default=None, repr=False)
+    spectral: SpectralData
+
+    @property
+    def block_order(self) -> tuple[int, ...]:
+        return tuple(int(i) for i in np.argsort(-self.spectral.eigenvalues, kind="stable"))
+
+    @property
+    def mask(self) -> tuple[tuple[int, int], ...]:
+        k = len(self.spectral.multiplicities)
+        return tuple((i, j) for i in range(k) for j in range(i, k))
+
+    @property
+    def thetas(self) -> tuple[float, ...]:
+        return tuple(float(self.spectral.eigenvalues[i]) for i in self.block_order)
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(int(self.spectral.multiplicities[i]) for i in self.block_order)
 
     @property
     def complex_dim(self) -> int:
-        m = np.array(self.multiplicities)
-        return int(sum(m[i] * m[j] for i, j in self.mask))
+        return len(self.units[0])
 
     def support(self) -> np.ndarray:
         """Boolean n x n entry mask of the polarization in the coordinates
@@ -238,19 +244,7 @@ def polarization(t) -> PolarizationMask:
     row-cluster theta >= column-cluster theta.  A Hermitian reference is
     read as its skew partner iT.
     """
-    return _polarization(_reference(t)[1])
-
-
-def _polarization(sd: SpectralData) -> PolarizationMask:
-    order = tuple(int(i) for i in np.argsort(-sd.eigenvalues, kind="stable"))
-    k = len(order)
-    return PolarizationMask(
-        block_order=order,
-        mask=tuple((i, j) for i in range(k) for j in range(i, k)),
-        thetas=tuple(float(sd.eigenvalues[i]) for i in order),
-        multiplicities=tuple(int(sd.multiplicities[i]) for i in order),
-        spectral=sd,
-    )
+    return PolarizationMask(_reference(t)[1])
 
 
 def _require_samples(count: int) -> None:
@@ -286,16 +280,22 @@ def polarization_properties(t, mask: PolarizationMask | None = None,
     the complexified isotropy, joint spanning of the full matrix space,
     and complementedness (dimension bookkeeping).
 
-    The frame of mask is certified unitary, so X -> F X F* is an
-    isometry: the polarization, its adjoint span and their sum have the
-    complex dimensions of their entry supports sup, sup.T and
-    sup | sup.T in frame coordinates.
+    A given mask must be built from T: its eigenframe F must diagonalize
+    T's companion H, ||H F - F diag(values)||_F <= HERM_TOL ||H||_F, or
+    PreconditionError is raised.  The frame of mask is certified unitary,
+    so X -> F X F* is an isometry: the polarization, its adjoint span and
+    their sum have the complex dimensions of their entry supports sup,
+    sup.T and sup | sup.T in frame coordinates.
     """
     _require_samples(sample_count)
     if mask is None:
         mask = polarization(t)
     else:
-        require_same_size(_as_skew(t), mask.spectral.frame)
+        h = _companion(t)
+        f, w = mask.spectral.frame, mask.spectral.values
+        require_same_size(h, f)
+        if np.linalg.norm(h @ f - f * w) > HERM_TOL * np.linalg.norm(h):
+            raise PreconditionError("mask: its eigenframe does not diagonalize T")
     sd = mask.spectral
     n = sd.size
     sup = mask.support()
@@ -348,7 +348,7 @@ def kaehler_check(t, sample_count: int = 200, seed: int = 0) -> KaehlerCheck:
     partner iT."""
     _require_samples(sample_count)
     tm, sd = _reference(t)
-    mask = _polarization(sd)
+    mask = PolarizationMask(sd)
     size = mask.complex_dim
     rng = np.random.default_rng(seed)
     iso_max = 0.0
@@ -389,11 +389,8 @@ def projective_form_compare(x0, a1, a2) -> ProjectiveCompare:
     x = np.asarray(x0, dtype=np.complex128).ravel()
     if abs(np.linalg.norm(x) - 1.0) > 1e-10:
         raise NotUnitVector(f"|x0| = {np.linalg.norm(x):.12f} differs from 1")
-    a1m = require_square(a1, "a1")
-    a2m = require_square(a2, "a2")
-    for name, m in (("a1", a1m), ("a2", a2m)):
-        if not is_skew_hermitian(m):
-            raise NotSkewHermitian(f"{name}: expected a skew-Hermitian matrix")
+    a1m = require_skew_hermitian(a1, name="a1")
+    a2m = require_skew_hermitian(a2, name="a2")
     require_same_size(a1m, a2m)
     if a1m.shape[0] != len(x):
         raise SizeMismatch(f"vector length {len(x)} vs matrix size {a1m.shape[0]}")

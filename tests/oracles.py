@@ -26,7 +26,6 @@ import numpy as np
 from leafkit.cli import _json_default
 from leafkit.norming import adjoint_snf, eval_snf, op_norm
 from leafkit.opcore import SpectralData, random_skew_hermitian
-from leafkit.symplectic import RADICAL_REL_TOL
 
 
 def skew_hermitian_basis(n):
@@ -47,9 +46,14 @@ def skew_hermitian_basis(n):
     return out
 
 
+# the oracle's own cutoff, relative to max(largest singular value, ||T||);
+# independent of the cluster tolerance the library's count applies
+RADICAL_REL_TOL = 1e-9
+
+
 def radical_dim(tm):
     """Nullity of the dense Gram of omega_T(X, Y) = Re Tr(T [X, Y]) on
-    the standard skew basis, with the library's cutoff
+    the standard skew basis, with the cutoff
     RADICAL_REL_TOL * max(largest singular value, ||T||)."""
     n = tm.shape[0]
     b = np.array(skew_hermitian_basis(n))

@@ -365,6 +365,19 @@ class TestSubcommands:
         phi = report["results"]["phi"]
         assert phi["data"][0][0] == [1.0, 0.0] and phi["data"][1][1] == [1.0, 0.0]
 
+    def test_cross_section_residual_scales_with_the_reference(self, capsys, workdir, rng):
+        # at ||T|| = 3e8 the roundoff residual is far above an absolute
+        # 1e-8 and far below 1e-8 ||T||
+        _, put = workdir
+        t = 3e8 * hermitian_with_spectrum(np.repeat([1.0, 0.25, -0.5], (2, 3, 1)), rng)
+        t = put("t.json", 0.5 * (t + t.conj().T))
+        v = put("v.json", matrix_exp(0.2 * random_skew(6, rng)))
+        code, report = run(capsys, "cross-section", t, v)
+        assert code == 0
+        assert 1e-8 < report["results"]["residual"] <= 1e-8 * 3e8
+        code, report = run(capsys, "cross-section", t, v, "--tol", "1e-17")
+        assert code == 1 and report["tolerances"]["residual"] == 1e-17
+
     def test_well_defined_continuity_offdiag(self, capsys, workdir, rng):
         _, put = workdir
         from leafkit.orbits import pinching

@@ -6,10 +6,12 @@ samples, candidates or block pairs as stacks.  These tests count the calls
 into the kernels underneath, so an edit that brings back one call per
 sample fails here without a timing test.  Likewise kernel_range_split and
 centralizer_basis return views that build no unit until one is read, the
-state functions share one eigendecomposition per density, and the
-centralizer report checks its units in stacks.
+state functions share one eigendecomposition per density, the
+centralizer report checks its units in stacks, and every reader of a
+reference T builds its one frame through spectral_decompose.
 """
 
+import sys
 from collections import Counter
 
 import numpy as np
@@ -17,11 +19,16 @@ import pytest
 
 from leafkit import cli, norming, opcore, states
 from leafkit.cli import run_command
-from leafkit.cross_section import build_reference, offdiag_bound_check
+from leafkit.cross_section import (
+    build_reference,
+    generated_algebra_dimension,
+    minimal_polynomial,
+    offdiag_bound_check,
+)
 from leafkit.matrixio import write_matrix
 from leafkit.norming import adjoint_defect, lorentz, schatten
 from leafkit.opcore import SpectralData
-from leafkit.orbits import kernel_range_split
+from leafkit.orbits import isotropy_dimension, kernel_range_split, pinching
 from leafkit.states import (
     DensityFunctional,
     centralizer_basis,
@@ -29,7 +36,7 @@ from leafkit.states import (
     jordan_decompose,
     support_projection,
 )
-from leafkit.symplectic import _stacks, radical_check
+from leafkit.symplectic import _stacks, kaehler_check, polarization, radical_check
 
 from conftest import SQRT_PI, hermitian_with_spectrum, random_unitary
 
@@ -131,3 +138,28 @@ def test_centralizer_report_takes_no_unit_svd(monkeypatch, tmp_path, capsys):
     assert norms == [Counter()] * 2
     # the 144 units fit one stack: one SVD of a stack of n x 2 factors
     assert svd == Counter({(n, 2): 1})
+
+
+@pytest.mark.parametrize("call", [
+    build_reference,
+    minimal_polynomial,
+    generated_algebra_dimension,
+    pytest.param(lambda t: pinching(t, t), id="pinching"),
+    kernel_range_split,
+    isotropy_dimension,
+    pytest.param(lambda t: radical_check(t, sample_count=3), id="radical_check"),
+    polarization,
+    pytest.param(lambda t: kaehler_check(t, sample_count=3), id="kaehler_check"),
+])
+def test_each_reader_of_t_builds_one_frame(monkeypatch, call):
+    # counted by the function that asks for the frame: only
+    # spectral_decompose may build one, and only once
+    rng = np.random.default_rng(14)
+    t = hermitian_with_spectrum(np.repeat([2.0, 1.0, -1.0], (3, 2, 1)), rng)
+    t = 0.5 * (t + t.conj().T)
+    caller = lambda *args: sys._getframe(2).f_code.co_name
+    frames = counted(monkeypatch, SpectralData, "from_hermitian", caller)
+    eighs = counted(monkeypatch, SpectralData, "from_eigh", caller)
+    call(t)
+    assert frames == Counter({"spectral_decompose": 1})
+    assert eighs == Counter({"from_hermitian": 1})

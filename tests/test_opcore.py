@@ -29,7 +29,8 @@ from leafkit.opcore import (
     spectral_decompose,
     spectral_norm,
 )
-from leafkit.orbits import normal_frame
+from leafkit.cross_section import generated_algebra_dimension, minimal_polynomial
+from leafkit.orbits import leaf_signature, normal_frame
 
 from conftest import PHI_SET, random_hermitian, random_psd, random_skew, random_unitary, separated_values
 
@@ -73,6 +74,18 @@ class TestSpectralDecompose:
     def test_cluster_ambiguity(self):
         with pytest.raises(ClusterAmbiguity):
             spectral_decompose(np.diag([0.0, 1e-8]).astype(complex), cluster_tol=1e-8)
+
+    @pytest.mark.parametrize("call", [
+        spectral_decompose,
+        minimal_polynomial,
+        generated_algebra_dimension,
+        leaf_signature,
+    ])
+    def test_negative_cluster_tolerance_is_rejected(self, call):
+        # every frame is built by spectral_decompose, so each reader of T
+        # refuses the tolerance the same way
+        with pytest.raises(ValueError, match="^cluster_tol must be nonnegative$"):
+            call(np.diag([0.0, 1e-12, 1.0]).astype(complex), -1.0)
 
 
 @st.composite

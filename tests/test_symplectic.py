@@ -1,13 +1,18 @@
+import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from leafkit.errors import ClusterAmbiguity, NotSkewHermitian, NotUnitVector, SizeMismatch
+from leafkit import symplectic
+from leafkit.cli import run_command
+from leafkit.errors import ClusterAmbiguity, NotSkewHermitian, NotUnitVector, PreconditionError, SizeMismatch
+from leafkit.matrixio import write_matrix
 from leafkit.orbits import SPLIT_SEED, isotropy_dimension, kernel_range_split, pinching
-from leafkit.opcore import random_skew_hermitian
+from leafkit.opcore import matrix_exp, random_skew_hermitian
 from leafkit.states import DensityFunctional, centralizer_basis
 from leafkit.symplectic import (
     _reference,
@@ -148,6 +153,15 @@ class TestPolarization:
     def test_mask_of_another_size_is_rejected(self):
         with pytest.raises(SizeMismatch):
             polarization_properties(np.diag([2j, 1j, 0.0]), polarization(np.diag([2j, 1j])))
+
+    def test_mask_of_another_reference_is_rejected(self):
+        # the mask of diag(5, 5, 5, 0) has a cluster of 3, so it would
+        # report the isotropy 3^2 + 1 = 10 where T's is 2^2 + 1 + 1 = 6
+        t = np.diag([3.0, 1.0, 1.0, 0.0])
+        with pytest.raises(PreconditionError, match="does not diagonalize T"):
+            polarization_properties(t, polarization(np.diag([5.0, 5.0, 5.0, 0.0])))
+        props = polarization_properties(t, polarization(1j * t))
+        assert props.dim_intersection == props.dim_intersection_expected == isotropy_dimension(t) == 6
 
     def test_positivity_on_matrix_units(self):
         # -i omega(Z, Z*) on an included off-diagonal unit equals the
@@ -365,14 +379,31 @@ class TestScaleCovariance:
             assert kc.isotropy_max_abs <= 1e-9 * kc.scale
             assert kc.positivity_min >= -1e-9 * kc.scale
 
-    def test_gram_value_at_the_cutoff_is_not_certified(self):
-        # theta = (0, 1e-9, 1): the pair value 2e-9 equals the cutoff
-        # 1e-9 * max(2, ||T||) to roundoff, well inside the dropped-coupling
-        # bound, so the count cannot be certified
+    def test_radical_count_applies_the_cluster_partition(self, tmp_path, capsys):
+        # theta = (0, 3e-9, 1): the gap 3e-9 is below half the cluster
+        # tolerance 1e-8, so 0 and 3e-9 form one cluster, and the pair is
+        # radical although its Gram value 6e-9 exceeds 1e-9 ||T||
+        t = np.diag([0.0, 3e-9, 1.0]).astype(complex)
+        rad = radical_check(t, sample_count=5)
+        assert rad.radical_dim == rad.isotropy_dim == isotropy_dimension(t) == 5
+        assert rad.match
+        write_matrix(t, tmp_path / "t.json")
+        assert run_command(["radical", str(tmp_path / "t.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["radical_dim"] == 5
+
+    def test_uncertified_frame_is_refused(self, monkeypatch):
+        # a frame rotated by 1e-6 couples the basis far above the cutoff
+        # 3 cluster_tol = 6e-8, so no count is certified
+        exact = symplectic.spectral_decompose
         rng = np.random.default_rng(77)
-        t = hermitian_with_spectrum([0.0, 1e-9, 1.0], rng)
-        with pytest.raises(ClusterAmbiguity):
-            radical_check(t, sample_count=1)
+
+        def rotated(h, cluster_tol=None):
+            sd = exact(h, cluster_tol)
+            return replace(sd, frame=sd.frame @ matrix_exp(1e-6 * random_skew_hermitian(sd.size, rng)))
+
+        monkeypatch.setattr(symplectic, "spectral_decompose", rotated)
+        with pytest.raises(ClusterAmbiguity, match="not certified"):
+            radical_check(np.diag([0.0, 1.0, 2.0]), sample_count=1)
 
     @pytest.mark.parametrize("call", [
         lambda t, k: radical_check(t, sample_count=k),
