@@ -43,13 +43,14 @@ from .errors import ParseError, PreconditionError, ShapeError
 from .matrixio import indented_matrix_text, matrix_to_obj, parse_matrix, write_matrix
 from .opcore import (
     CORNER_TOL,
+    SpectralData,
     matrix_exp,
     require_hermitian,
     require_same_size,
     require_square,
     singular_values,
-    spectral_decompose,
     spectral_norm,
+    within,
 )
 
 if TYPE_CHECKING:
@@ -169,12 +170,6 @@ nonnegative_float = _ranged(float, "nonnegative_float", lambda v: 0.0 <= v < mat
 power_alpha = _ranged(float, "power_alpha", lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 
 
-def _within(value: float, tol: float, m: np.ndarray) -> bool:
-    """Whether value <= tol * max(1, ||m||).  The norm of m, an SVD, is
-    taken only when value > tol."""
-    return value <= tol or value <= tol * spectral_norm(m)
-
-
 def _phi_set():
     return [parse_phi_spec(s) for s in DEFAULT_PHI_SET]
 
@@ -274,7 +269,7 @@ def cmd_support(args, rho):
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         worst = max(worst, abs(np.trace(rho @ x) - np.trace(rho @ p @ x @ p)))
     idem = spectral_norm(p @ p - p)
-    ok = _within(worst, 1e-8, rho) and idem <= 1e-10
+    ok = within(worst, 1e-8, rho) and idem <= 1e-10
     results = {
         "rank": int(round(np.trace(p).real)),
         "idempotency_residual": idem,
@@ -322,7 +317,7 @@ def cmd_centralizer(args, rho):
         sv = np.linalg.svd(right @ rr.conj().swapaxes(1, 2), compute_uv=False)
         worst = max(worst, float(sv[:, 0].max()))
     expected = orbits.isotropy_dimension(phi.rho)
-    ok = len(basis) == expected and _within(worst, 1e-10, rho)
+    ok = len(basis) == expected and within(worst, 1e-10, rho)
     results = {"dimension": len(basis), "expected_dimension": expected, "max_commutator": worst}
     return results, {"commutator": 1e-10}, ok
 
@@ -346,7 +341,7 @@ def cmd_pinch(args, t, s):
     comm = spectral_norm(t @ e - e @ t)
     sv_e, sv_s = singular_values(e), singular_values(s)
     excess = max(norming.eval_snf(phi, sv_e) - norming.eval_snf(phi, sv_s) for phi in _phi_set())
-    ok = idem <= 1e-10 and _within(comm, 1e-9, t) and excess <= 1e-9
+    ok = idem <= 1e-10 and within(comm, 1e-9, t) and excess <= 1e-9
     results = {
         "idempotency_residual": idem,
         "commutation_residual": comm,
@@ -436,7 +431,7 @@ def cmd_orbit_sample(args, t):
     samples = orbits.orbit_sample(t, args.count, args.scale, args.seed)
     w = orbits.spectrum(t, "T")
     dev = max((orbits.spectrum_deviation(w, orbits.spectrum(s, "sample")) for s in samples), default=0.0)
-    ok = _within(dev, 1e-9, t)
+    ok = within(dev, 1e-9, t)
     if args.out:
         for k, s in enumerate(samples):
             write_matrix(s, f"{args.out}{k}.json")
@@ -451,7 +446,7 @@ def cmd_leaf_compare(args, a, b):
     w_a, w_b = orbits.spectrum(a, "A"), orbits.spectrum(b, "B")
     require_same_size(a, b)
     dev = orbits.spectrum_deviation(w_a, w_b)
-    same = dev <= args.tol
+    same = dev <= orbits.leaf_bound(args.tol, w_a, w_b)
     return {"same_leaf": same, "max_eigenvalue_deviation": dev}, {"tol": args.tol}, same
 
 
@@ -466,9 +461,9 @@ def cmd_cross_section(args, t, v):
     unitary_defect = spectral_norm(res.phi.conj().T @ res.phi - np.eye(n))
     psi_comm = spectral_norm(res.psi @ ref.T - ref.T @ res.psi)
     ok = (
-        _within(res.residual, args.tol, t)
+        within(res.residual, args.tol, t)
         and unitary_defect <= 1e-9
-        and _within(psi_comm, 1e-9, t)
+        and within(psi_comm, 1e-9, t)
     )
     results = {
         "residual": res.residual,
@@ -527,7 +522,7 @@ def cmd_offdiag_bound(args, t, w):
 @command("minpoly", "monic annihilating polynomial of the clustered spectrum", ["T"], tol=TOL)
 def cmd_minpoly(args, t):
     from . import cross_section as cs
-    sd = spectral_decompose(require_hermitian(t, name="T"), args.tol)
+    sd = SpectralData.from_hermitian(require_hermitian(t, name="T"), args.tol)
     poly = cs.cluster_polynomial(sd)
     roots = poly.roots()
     n = t.shape[0]

@@ -36,13 +36,12 @@ from .opcore import (
     require_hermitian,
     require_same_size,
     require_unitary,
-    spectral_decompose,
     spectral_norm,
 )
 from .norming import NormingFunctionSpec, eval_snf_many, op_norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceOperator:
     """Hermitian reference with its clustered eigenframe; interp_scalar
     evaluates the Lagrange interpolation polynomials of its distinct
@@ -78,7 +77,7 @@ class ReferenceOperator:
         return (v * self.interp_scalar(i, w)) @ v.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossSectionResult:
     """Output of the block-polar construction at a unitary V."""
 
@@ -92,7 +91,7 @@ def build_reference(t) -> ReferenceOperator:
     """Clustered eigenframe of a Hermitian reference; e_i(T) reproduces
     the projection E_i."""
     tm = require_hermitian(t, name="T")
-    return ReferenceOperator(T=tm, spectral=spectral_decompose(tm))
+    return ReferenceOperator(T=tm, spectral=SpectralData.from_hermitian(tm))
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,7 @@ def minimal_polynomial(t, tol: float | None = None) -> Polynomial:
     """Monic polynomial whose roots are the distinct eigenvalue clusters
     of a Hermitian matrix; it annihilates the matrix up to
     tol (1 + ||T||)^degree, tol the cluster tolerance applied."""
-    return cluster_polynomial(spectral_decompose(require_hermitian(t, name="T"), tol))
+    return cluster_polynomial(SpectralData.from_hermitian(require_hermitian(t, name="T"), tol))
 
 
 def cluster_polynomial(sd: SpectralData) -> Polynomial:
@@ -267,5 +266,5 @@ def generated_algebra_dimension(t, tol: float | None = None) -> int:
     """Complex dimension of the (non-unital) *-algebra generated by a
     Hermitian matrix: the number of distinct nonzero eigenvalue clusters,
     i.e. of independent nonzero spectral projections."""
-    sd = spectral_decompose(require_hermitian(t, name="T"), tol)
+    sd = SpectralData.from_hermitian(require_hermitian(t, name="T"), tol)
     return int(np.count_nonzero(np.abs(sd.eigenvalues) > sd.cluster_tol))

@@ -323,7 +323,7 @@ def calculus_monotonicity_check(phi: NormingFunctionSpec, a, f: Callable[[float]
     return op_norm(phi, fa) <= op_norm(phi, a) + 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiRegularity:
     ratios: np.ndarray = field(repr=False)
     sup_over_horizon: float

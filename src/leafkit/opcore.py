@@ -68,8 +68,10 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def _scale(a: np.ndarray) -> float:
-    return max(1.0, spectral_norm(a))
+def within(value: float, tol: float, m: np.ndarray | None = None) -> bool:
+    """Whether value <= tol * max(1, ||m||), or value <= tol without m; the
+    norm of m, an SVD, is taken only when value > tol."""
+    return value <= tol or (m is not None and value <= tol * spectral_norm(m))
 
 
 def defect_exceeds(d: np.ndarray, tol: float, m: np.ndarray | None = None) -> bool:
@@ -80,15 +82,15 @@ def defect_exceeds(d: np.ndarray, tol: float, m: np.ndarray | None = None) -> bo
     ||d|| >= ||d||_F / sqrt(min(shape)) and ||m|| <= ||m||_F, a Frobenius
     norm above 2 sqrt(min(shape)) tol max(1, ||m||_F) rejects without one.
     The factors 2 keep both shortcuts clear of roundoff at the boundary.
-    Every other defect gets the exact spectral-norm test, so the decision
-    is the one the spectral rule makes.
+    Every other defect gets the exact spectral-norm test, within, so the
+    decision is the one the spectral rule makes.
     """
     fro = np.linalg.norm(d)
     if fro < 0.5 * tol:
         return False
     if fro > 2.0 * np.sqrt(min(d.shape)) * tol * (1.0 if m is None else max(1.0, np.linalg.norm(m))):
         return True
-    return spectral_norm(d) > tol * (1.0 if m is None else _scale(m))
+    return not within(spectral_norm(d), tol, m)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
@@ -169,7 +171,7 @@ def cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Clustered eigenframe of a Hermitian matrix.
 
@@ -194,9 +196,11 @@ class SpectralData:
 
     @classmethod
     def from_eigh(cls, w: np.ndarray, v: np.ndarray, cluster_tol: float | None = None) -> SpectralData:
-        """Eigenframe from np.linalg.eigh's output w, v, clustered as in from_hermitian."""
+        """Eigenframe from eigh's output w, v, clustered as in from_hermitian; cluster_tol >= 0."""
         if cluster_tol is None:
             cluster_tol = DEFAULT_CLUSTER_REL_TOL * float(np.abs(w).max(initial=0.0))
+        elif cluster_tol < 0:
+            raise ValueError("cluster_tol must be nonnegative")
         groups = cluster_indices(w, cluster_tol)
         return cls(
             frame=v,
@@ -310,7 +314,7 @@ class FrameUnits(Sequence):
         return e if a == 1 else a * e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarFactors:
     """A = unitary_part @ positive_part."""
 
@@ -319,17 +323,10 @@ class PolarFactors:
 
 
 def spectral_decompose(a, cluster_tol: float | None = None) -> SpectralData:
-    """Hermitian eigendecomposition with clustered spectral projections,
-    the one checked constructor of SpectralData.
-
-    Eigenvalues within cluster_tol of each other merge into a single
-    projection; the reported eigenvalue of a cluster is the mean of its
-    members.  cluster_tol defaults to 1e-8 times the spectral norm.
-    """
-    m = require_hermitian(a)
-    if cluster_tol is not None and cluster_tol < 0:
-        raise ValueError("cluster_tol must be nonnegative")
-    return SpectralData.from_hermitian(m, cluster_tol)
+    """SpectralData.from_hermitian of a after the Hermitian gate: eigenvalues
+    within cluster_tol (default 1e-8 times the spectral norm) of each other
+    merge into one cluster, whose eigenvalue is the mean of its members."""
+    return SpectralData.from_hermitian(require_hermitian(a), cluster_tol)
 
 
 def singular_values(a) -> np.ndarray:
@@ -379,7 +376,7 @@ def function_calculus(a, f: Callable[[float], float]) -> np.ndarray:
     """
     m = require_hermitian(a)
     w, v = np.linalg.eigh(m)
-    slack = 1e-10 * _scale(m)
+    slack = 1e-10 * max(1.0, spectral_norm(m))
     if len(w) and (w[0] < -slack or w[-1] > 1.0 + slack):
         raise SpectrumOutOfRange(
             f"spectrum [{w[0]:.3e}, {w[-1]:.3e}] not contained in [0, 1]"

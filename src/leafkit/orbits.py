@@ -24,7 +24,6 @@ from .opcore import (
     require_skew_hermitian,
     require_square,
     require_unitary,
-    spectral_decompose,
 )
 
 SPLIT_SEED = 1618
@@ -35,9 +34,9 @@ def normal_frame(t, cluster_tol: float | None = None, name: str = "matrix") -> S
 
     Skew-Hermitian input is rotated to its Hermitian companion -iT, so the
     eigenvalues are the real numbers theta with spectrum {i theta} in the
-    skew case and {theta} in the Hermitian case.
+    skew case and {theta} in the Hermitian case.  T is classified once.
     """
-    return spectral_decompose(hermitian_companion(t, name), cluster_tol)
+    return SpectralData.from_hermitian(hermitian_companion(t, name), cluster_tol)
 
 
 def characteristic_tangent(rho, a) -> np.ndarray:
@@ -83,10 +82,17 @@ def spectrum_deviation(w1: np.ndarray, w2: np.ndarray) -> float:
     return float(np.max(np.abs(w1 - w2), initial=0.0))
 
 
+def leaf_bound(tol: float, *spectra: np.ndarray) -> float:
+    """The relative bound tol * max(1, ||A||, ||B||, ...) on a spectrum
+    deviation, each norm the largest |eigenvalue| of a spectrum."""
+    return tol * max(1.0, *(float(np.abs(w).max(initial=0.0)) for w in spectra))
+
+
 def same_leaf(rho1, rho2, tol: float) -> bool:
     """True iff the two matrices are unitarily equivalent up to tol:
-    sorted eigenvalues agree pairwise within tol."""
-    return bool(spectrum_deviation(spectrum(rho1, "rho1"), spectrum(rho2, "rho2")) <= tol)
+    sorted eigenvalues agree pairwise within tol * max(1, ||rho1||, ||rho2||)."""
+    w1, w2 = spectrum(rho1, "rho1"), spectrum(rho2, "rho2")
+    return bool(spectrum_deviation(w1, w2) <= leaf_bound(tol, w1, w2))
 
 
 def orbit_sample(t, count: int, scale: float, seed: int) -> list[np.ndarray]:

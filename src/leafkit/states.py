@@ -33,7 +33,7 @@ SUPPORT_REL_TOL = 1e-10
 COMMUTATOR_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityFunctional:
     """Self-adjoint functional x -> Tr(rho x), carried by its density."""
 
@@ -54,7 +54,7 @@ class DensityFunctional:
         return float(np.abs(self.eigensystem[0]).max(initial=0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JordanPair:
     """rho = positive_part - negative_part with PSD parts whose support
     projections are orthogonal."""
@@ -138,22 +138,23 @@ class CentralizerBlockCheck:
 def centralizer_block_check(phi: DensityFunctional, u) -> CentralizerBlockCheck:
     """Block structure of centralizer unitaries over a PSD density.
 
-    A unitary commutes with rho iff it commutes with the support
-    projection p and its compression to the support subspace commutes
-    with the (faithful) restriction of rho there; off the support it is
-    unconstrained.
+    A unitary commutes with rho iff it commutes with the support projection p
+    and its compression to the support subspace commutes with the (faithful)
+    restriction of rho there; off the support it is unconstrained.  Commutators
+    with rho are held to COMMUTATOR_TOL max(1, ||rho||), with p to COMMUTATOR_TOL.
     """
     um = require_unitary(u, name="u")
     cols = _support_columns(phi)
     p = cols @ cols.conj().T
+    tol = COMMUTATOR_TOL * max(1.0, phi.norm)
 
-    in_centralizer = not defect_exceeds(um @ phi.rho - phi.rho @ um, COMMUTATOR_TOL)
+    in_centralizer = not defect_exceeds(um @ phi.rho - phi.rho @ um, tol)
     commutes_with_support = not defect_exceeds(um @ p - p @ um, COMMUTATOR_TOL)
 
     u_corner = cols.conj().T @ um @ cols
     rho_corner = cols.conj().T @ phi.rho @ cols
     corner_unitary = is_unitary(u_corner, COMMUTATOR_TOL)
-    corner_commutes = not defect_exceeds(u_corner @ rho_corner - rho_corner @ u_corner, COMMUTATOR_TOL)
+    corner_commutes = not defect_exceeds(u_corner @ rho_corner - rho_corner @ u_corner, tol)
     return CentralizerBlockCheck(
         in_centralizer=in_centralizer,
         commutes_with_support=commutes_with_support,
@@ -171,12 +172,13 @@ class JordanIntersectionCheck:
 def jordan_intersection_check(phi: DensityFunctional, u) -> JordanIntersectionCheck:
     """A unitary fixes phi under conjugation iff it fixes both pieces of
     the Jordan split; the three conjugation residuals are reported as
-    booleans at the 1e-9 threshold."""
+    booleans at the threshold COMMUTATOR_TOL max(1, ||rho||)."""
     um = require_unitary(u, name="u")
     pair = jordan_decompose(phi)
+    tol = COMMUTATOR_TOL * max(1.0, phi.norm)
 
     def fixes(mat: np.ndarray) -> bool:
-        return not defect_exceeds(um.conj().T @ mat @ um - mat, COMMUTATOR_TOL)
+        return not defect_exceeds(um.conj().T @ mat @ um - mat, tol)
 
     return JordanIntersectionCheck(
         fixes_phi=fixes(phi.rho),

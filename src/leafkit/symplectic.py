@@ -30,7 +30,6 @@ from .opcore import (
     require_same_size,
     require_skew_hermitian,
     require_unitary,
-    spectral_decompose,
     spectral_norm,
 )
 
@@ -53,7 +52,7 @@ def _reference(t) -> tuple[np.ndarray, SpectralData]:
     once, so X -> F X F* is an isometry and every count and residual can
     be read off in frame coordinates."""
     h = _companion(t)
-    sd = spectral_decompose(h)
+    sd = SpectralData.from_hermitian(h)
     require_unitary(sd.frame, "eigenframe")
     return 1j * h, sd
 
@@ -79,11 +78,13 @@ def omega(t, x, y) -> float:
     arguments; the value is real.
 
     A Hermitian reference is accepted and read as its skew partner iT;
-    X and Y must be genuinely skew-Hermitian."""
+    X and Y must be genuinely skew-Hermitian.  T is classified once."""
     tm = 1j * _companion(t)
     xm = require_skew_hermitian(x, name="X")
     ym = require_skew_hermitian(y, name="Y")
-    return float(omega_complexified(tm, xm, ym).real)
+    require_same_size(tm, xm)
+    require_same_size(tm, ym)
+    return float(_trace_form(tm, xm, ym).real)
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ def radical_check(t, sample_count: int = 100, seed: int = 0) -> RadicalCheck:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarizationMask:
     """Half-space polarization attached to T, derived from one field: the
     clustered eigenframe spectral of T's Hermitian companion.

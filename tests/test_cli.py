@@ -349,11 +349,32 @@ class TestSubcommands:
         _, report = run(capsys, "leaf-compare", a, b)
         dev = report["results"]["max_eigenvalue_deviation"]
         assert dev > 0
-        for tol, same in ((dev, True), (np.nextafter(dev, 0.0), False)):
+        # the verdict flips at the smallest tol with dev <= tol * max(1, ||A||, ||B||) = 3 tol
+        edge = dev / 3.0
+        while edge * 3.0 < dev:
+            edge = np.nextafter(edge, 1.0)
+        while np.nextafter(edge, 0.0) * 3.0 >= dev:
+            edge = np.nextafter(edge, 0.0)
+        for tol, same in ((edge, True), (np.nextafter(edge, 0.0), False)):
             code, report = run(capsys, "leaf-compare", a, b, "--tol", repr(float(tol)))
             assert report["results"]["same_leaf"] is same
             assert orbits.same_leaf(parse_matrix(a), parse_matrix(b), tol) is same
             assert code == (0 if same else 1)
+
+    def test_leaf_compare_tolerance_scales_with_the_operands(self, capsys, workdir, rng):
+        # at ||A|| = 9e7 the roundoff of two eigensolvers is far above an
+        # absolute 1e-9 and far below 1e-9 ||A||; the printed tol stays relative
+        _, put = workdir
+        a = np.diag([9e7, 3e7, 1.0, -2e7, 5e6, 0.0])
+        q = random_unitary(6, rng)
+        path_a, path_b = put("a.json", a), put("b.json", q @ a @ q.conj().T)
+        code, report = run(capsys, "leaf-compare", path_a, path_b)
+        assert code == 0 and report["results"]["same_leaf"] is True
+        assert report["results"]["max_eigenvalue_deviation"] > 1e-9
+        assert report["tolerances"] == {"tol": 1e-9}
+        moved = put("moved.json", q @ np.diag([9e7, 3e7, 2.0, -2e7, 5e6, 0.0]) @ q.conj().T)
+        code, report = run(capsys, "leaf-compare", path_a, moved)
+        assert code == 1 and report["results"]["same_leaf"] is False
 
     def test_cross_section_identity(self, capsys, workdir):
         _, put = workdir
@@ -489,6 +510,39 @@ class TestExitCodes:
         else:
             assert code == expected[0] and err.startswith(expected[1])
 
+    @pytest.mark.parametrize("argv, error, message", [
+        (["pinch", "N", "I"], "NotHermitian", "T: expected a Hermitian or skew-Hermitian matrix"),
+        (["split", "N"], "NotHermitian", "T: expected a Hermitian or skew-Hermitian matrix"),
+        (["orbit-sample", "N"], "NotHermitian", "T: expected a Hermitian or skew-Hermitian matrix"),
+        (["leaf-compare", "N", "I"], "NotHermitian", "A: expected a Hermitian or skew-Hermitian matrix"),
+        (["radical", "N"], "NotSkewHermitian", "T: expected a skew-Hermitian (or Hermitian) matrix"),
+        (["polarization", "N"], "NotSkewHermitian", "T: expected a skew-Hermitian (or Hermitian) matrix"),
+        (["kahler-check", "N"], "NotSkewHermitian", "T: expected a skew-Hermitian (or Hermitian) matrix"),
+        (["omega", "N", "K", "K"], "NotSkewHermitian", "T: expected a skew-Hermitian (or Hermitian) matrix"),
+        (["cross-section", "N", "I"], "NotHermitian", "T: Hermitian defect 1.000e+00 exceeds tolerance"),
+        (["well-defined", "N", "I", "I"], "NotHermitian", "T: Hermitian defect 1.000e+00 exceeds tolerance"),
+        (["continuity", "N", "K"], "NotHermitian", "T: Hermitian defect 1.000e+00 exceeds tolerance"),
+        (["offdiag-bound", "--phi", "max", "N", "I"], "NotHermitian",
+         "T: Hermitian defect 1.000e+00 exceeds tolerance"),
+        (["minpoly", "N"], "NotHermitian", "T: Hermitian defect 1.000e+00 exceeds tolerance"),
+        (["algebra-dim", "N"], "NotHermitian", "T: Hermitian defect 1.000e+00 exceeds tolerance"),
+        (["centralizer", "N"], "NotHermitian", "rho: Hermitian defect 1.000e+00 exceeds tolerance"),
+        (["support", "N"], "NotHermitian", "rho: Hermitian defect 1.000e+00 exceeds tolerance"),
+        (["jordan", "N"], "NotHermitian", "rho: Hermitian defect 1.000e+00 exceeds tolerance"),
+        (["faithful", "N"], "NotHermitian", "rho: Hermitian defect 1.000e+00 exceeds tolerance"),
+    ], ids=lambda a: a[0] if isinstance(a, list) else None)
+    def test_non_hermitian_operand_report(self, capsys, workdir, argv, error, message):
+        # each reader gates T or rho once; the gate names the operand
+        _, put = workdir
+        paths = {
+            "N": put("n.json", [[0, 1], [0, 0]]),
+            "I": put("i.json", np.eye(2)),
+            "K": put("k.json", np.diag([1j, -1j])),
+        }
+        code, report = run(capsys, *[paths.get(a, a) for a in argv])
+        assert code == 3 and report["pass"] is False
+        assert report["results"] == {"error": error, "message": message}
+
     @staticmethod
     def _raise_from_handler(monkeypatch, kind):
         def handler(args):
@@ -591,6 +645,16 @@ class TestMoreCLI:
         code, report = run(capsys, "support", rho, "--seed", "0")
         assert code == 0
         assert report["results"]["rank"] == 2
+
+    def test_readme_handler_examples_are_in_cli(self):
+        # every handler README quotes must read as it does in cli.py
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        source = Path(cli.__file__).read_text()
+        blocks = [b.split("\n```", 1)[0] for b in readme.split("```python\n")[1:]]
+        handlers = [b for b in blocks if b.startswith("@command(")]
+        assert handlers
+        for block in handlers:
+            assert block in source, block.splitlines()[0]
 
     def test_report_key_order_is_sorted(self, capsys, workdir):
         _, put = workdir

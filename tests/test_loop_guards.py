@@ -8,10 +8,10 @@ sample fails here without a timing test.  Likewise kernel_range_split and
 centralizer_basis return views that build no unit until one is read, the
 state functions share one eigendecomposition per density, the
 centralizer report checks its units in stacks, and every reader of a
-reference T builds its one frame through spectral_decompose.
+reference T passes each operand through one Hermitian gate and builds
+one frame per operand with SpectralData.from_hermitian.
 """
 
-import sys
 from collections import Counter
 
 import numpy as np
@@ -28,7 +28,7 @@ from leafkit.cross_section import (
 from leafkit.matrixio import write_matrix
 from leafkit.norming import adjoint_defect, lorentz, schatten
 from leafkit.opcore import SpectralData
-from leafkit.orbits import isotropy_dimension, kernel_range_split, pinching
+from leafkit.orbits import isotropy_dimension, kernel_range_split, leaf_signature, pinching, same_leaf
 from leafkit.states import (
     DensityFunctional,
     centralizer_basis,
@@ -36,7 +36,7 @@ from leafkit.states import (
     jordan_decompose,
     support_projection,
 )
-from leafkit.symplectic import _stacks, kaehler_check, polarization, radical_check
+from leafkit.symplectic import _stacks, kaehler_check, omega, polarization, radical_check
 
 from conftest import SQRT_PI, hermitian_with_spectrum, random_unitary
 
@@ -140,26 +140,33 @@ def test_centralizer_report_takes_no_unit_svd(monkeypatch, tmp_path, capsys):
     assert svd == Counter({(n, 2): 1})
 
 
-@pytest.mark.parametrize("call", [
-    build_reference,
-    minimal_polynomial,
-    generated_algebra_dimension,
-    pytest.param(lambda t: pinching(t, t), id="pinching"),
-    kernel_range_split,
-    isotropy_dimension,
-    pytest.param(lambda t: radical_check(t, sample_count=3), id="radical_check"),
-    polarization,
-    pytest.param(lambda t: kaehler_check(t, sample_count=3), id="kaehler_check"),
-])
-def test_each_reader_of_t_builds_one_frame(monkeypatch, call):
-    # counted by the function that asks for the frame: only
-    # spectral_decompose may build one, and only once
+# each reader of T: the call on T, its Hermitian operands and its frames
+READERS = {
+    "build_reference": (build_reference, 1, 1),
+    "minimal_polynomial": (minimal_polynomial, 1, 1),
+    "generated_algebra_dimension": (generated_algebra_dimension, 1, 1),
+    "pinching": (lambda t: pinching(t, t), 1, 1),
+    "kernel_range_split": (kernel_range_split, 1, 1),
+    "isotropy_dimension": (isotropy_dimension, 1, 1),
+    "leaf_signature": (lambda t: leaf_signature(t, 1e-9), 1, 1),
+    "same_leaf": (lambda t: same_leaf(t, t[::-1, ::-1], 1e-9), 2, 2),
+    "radical_check": (lambda t: radical_check(t, sample_count=3), 1, 1),
+    "polarization": (polarization, 1, 1),
+    "kaehler_check": (lambda t: kaehler_check(t, sample_count=3), 1, 1),
+    "omega": (lambda t: omega(t, 1j * t, 1j * np.eye(len(t))), 1, 0),
+}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_each_reader_of_t_builds_one_frame(monkeypatch, reader):
+    # each Hermitian operand passes the Hermitian gate once and each frame
+    # is clustered once, so a second gate behind the first one fails here
+    call, operands, frames = READERS[reader]
     rng = np.random.default_rng(14)
     t = hermitian_with_spectrum(np.repeat([2.0, 1.0, -1.0], (3, 2, 1)), rng)
     t = 0.5 * (t + t.conj().T)
-    caller = lambda *args: sys._getframe(2).f_code.co_name
-    frames = counted(monkeypatch, SpectralData, "from_hermitian", caller)
-    eighs = counted(monkeypatch, SpectralData, "from_eigh", caller)
+    gates = counted(monkeypatch, opcore, "is_hermitian")
+    clusterings = counted(monkeypatch, SpectralData, "from_eigh")
     call(t)
-    assert frames == Counter({"spectral_decompose": 1})
-    assert eighs == Counter({"from_hermitian": 1})
+    assert gates == Counter({None: operands})
+    assert clusterings == Counter({None: frames} if frames else {})

@@ -1,6 +1,11 @@
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from leafkit import opcore
 
 from leafkit.errors import (
     ClusterAmbiguity,
@@ -14,6 +19,7 @@ from leafkit.errors import (
 from leafkit.opcore import (
     HERM_TOL,
     UNITARY_TOL,
+    SpectralData,
     defect_exceeds,
     function_calculus,
     hermitian_companion,
@@ -29,8 +35,11 @@ from leafkit.opcore import (
     spectral_decompose,
     spectral_norm,
 )
-from leafkit.cross_section import generated_algebra_dimension, minimal_polynomial
+from leafkit.cross_section import build_reference, cross_section_phi, generated_algebra_dimension, minimal_polynomial
+from leafkit.norming import PiSequence, adjoint_snf, lorentz, pi_regularity, schatten
 from leafkit.orbits import leaf_signature, normal_frame
+from leafkit.states import DensityFunctional, jordan_decompose
+from leafkit.symplectic import polarization
 
 from conftest import PHI_SET, random_hermitian, random_psd, random_skew, random_unitary, separated_values
 
@@ -80,12 +89,19 @@ class TestSpectralDecompose:
         minimal_polynomial,
         generated_algebra_dimension,
         leaf_signature,
+        pytest.param(SpectralData.from_hermitian, id="from_hermitian"),
+        pytest.param(lambda t, tol: SpectralData.from_eigh(*np.linalg.eigh(t), tol), id="from_eigh"),
     ])
     def test_negative_cluster_tolerance_is_rejected(self, call):
-        # every frame is built by spectral_decompose, so each reader of T
-        # refuses the tolerance the same way
+        # every frame is built by SpectralData.from_eigh, so each entry
+        # point refuses the tolerance the same way
         with pytest.raises(ValueError, match="^cluster_tol must be nonnegative$"):
             call(np.diag([0.0, 1e-12, 1.0]).astype(complex), -1.0)
+
+    def test_only_from_eigh_refuses_a_negative_tolerance(self):
+        sources = [p.read_text() for p in Path(opcore.__file__).parent.glob("*.py")]
+        assert sum(s.count("cluster_tol must be nonnegative") for s in sources) == 1
+        assert "cluster_tol must be nonnegative" in inspect.getsource(SpectralData.from_eigh)
 
 
 @st.composite
@@ -423,3 +439,34 @@ class TestValidationGates:
         assert is_skew_hermitian(m)
         h = m if hermitian else -1j * m
         np.testing.assert_array_equal(hermitian_companion(m), 0.5 * (h + h.conj().T))
+
+
+# builders of the frozen records that hold arrays
+ARRAY_RECORDS = {
+    "SpectralData": lambda: spectral_decompose(np.diag([2.0, 1.0, 1.0]).astype(complex)),
+    "PolarizationMask": lambda: polarization(np.diag([2j, 1j, 0])),
+    "ReferenceOperator": lambda: build_reference(np.diag([2.0, 1.0, 1.0])),
+    "CrossSectionResult": lambda: cross_section_phi(build_reference(np.diag([2.0, 1.0, 1.0])), np.eye(3)),
+    "DensityFunctional": lambda: DensityFunctional(np.eye(2)),
+    "JordanPair": lambda: jordan_decompose(DensityFunctional(np.diag([1.0, -1.0]))),
+    "PolarFactors": lambda: polar_decompose(np.diag([2.0, 1.0])),
+    "PiRegularity": lambda: pi_regularity(PiSequence("power", alpha=0.5, horizon=100)),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_RECORDS))
+def test_array_records_compare_by_identity(name):
+    # a generated == would compare the arrays and raise; these records are
+    # equal only to themselves and hash by identity
+    x, y = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert type(x).__name__ == name
+    assert x == x and x != y
+    assert hash(x) == hash(x)
+    assert len({x, y}) == 2
+
+
+def test_value_records_keep_generated_equality():
+    pi = PiSequence("power", alpha=0.5)
+    assert pi == PiSequence("power", alpha=0.5) and hash(pi) == hash(PiSequence("power", alpha=0.5))
+    for phi in (schatten(1.5), lorentz(pi)):
+        assert adjoint_snf(adjoint_snf(phi)) == phi

@@ -90,6 +90,15 @@ class TestSameLeaf:
         assert same_leaf(np.diag([1.0, 1.0 + eps]), np.diag([1.0 + eps, 1.0]), tol=10 * eps)
 
 
+    def test_tolerance_scales_with_the_operands(self, rng):
+        # at ||A|| = 9e7 the eigensolver roundoff is far above an absolute
+        # 1e-9 and far below 1e-9 ||A||; a moved eigenvalue is still seen
+        a = np.diag([9e7, 3e7, 1.0, -2e7, 5e6, 0.0])
+        q = random_unitary(6, rng)
+        assert same_leaf(a, q @ a @ q.conj().T, 1e-9)
+        assert not same_leaf(a, q @ np.diag([9e7, 3e7, 2.0, -2e7, 5e6, 0.0]) @ q.conj().T, 1e-9)
+
+
 class TestOrbitSample:
     def test_zero_scale(self, rng):
         t = random_hermitian(3, rng)

@@ -235,6 +235,27 @@ class TestJordanIntersection:
             assert res.fixes_phi == (res.fixes_pos and res.fixes_neg)
 
 
+class TestCommutatorScale:
+    def test_commuting_unitary_at_scale(self, rng):
+        # at ||rho|| = 3e6 the roundoff of a true commutator is far above an
+        # absolute 1e-9 and far below 1e-9 ||rho||
+        q = random_unitary(3, rng)
+        rho = density(q @ np.diag([3e6, 1.0, 0.0]) @ q.conj().T)
+        u = q @ np.diag([1.0, 1j, -1.0]) @ q.conj().T
+        jordan = jordan_intersection_check(rho, u)
+        assert jordan.fixes_phi and jordan.fixes_pos and jordan.fixes_neg
+        block = centralizer_block_check(rho, u)
+        assert block.in_centralizer and block.commutes_with_support and block.corner_in_corner_centralizer
+
+    def test_swap_at_scale_is_refused(self, rng):
+        q = random_unitary(3, rng)
+        rho = density(q @ np.diag([3e6, 1.0, 0.0]) @ q.conj().T)
+        u = q @ np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) @ q.conj().T
+        assert not jordan_intersection_check(rho, u).fixes_phi
+        block = centralizer_block_check(rho, u)
+        assert not block.in_centralizer and not block.corner_in_corner_centralizer
+
+
 class TestSupportEquivariance:
     def test_identity(self, rng):
         assert support_equivariance_check(density(random_psd(3, rng)), np.eye(3)) <= 1e-12

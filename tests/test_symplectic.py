@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from leafkit import symplectic
 from leafkit.cli import run_command
 from leafkit.errors import ClusterAmbiguity, NotSkewHermitian, NotUnitVector, PreconditionError, SizeMismatch
 from leafkit.matrixio import write_matrix
 from leafkit.orbits import SPLIT_SEED, isotropy_dimension, kernel_range_split, pinching
-from leafkit.opcore import matrix_exp, random_skew_hermitian
+from leafkit.opcore import SpectralData, matrix_exp, random_skew_hermitian
 from leafkit.states import DensityFunctional, centralizer_basis
 from leafkit.symplectic import (
     _reference,
@@ -63,6 +62,14 @@ class TestOmega:
         t = np.diag([1.0, -1.0]).astype(complex)
         x, y = random_skew(2, rng), random_skew(2, rng)
         assert omega(t, x, y) == pytest.approx(omega(1j * t, x, y), abs=1e-12)
+
+    def test_tiny_reference_is_classified_once(self, rng):
+        # iT of a Hermitian T below the gate tolerance must not be re-read
+        # as the Hermitian 0, so the form scales with T
+        t = np.diag([3.0, 1.0, -2.0]).astype(complex)
+        x, y = random_skew(3, rng), random_skew(3, rng)
+        assert omega(1e-12 * t, x, y) == pytest.approx(1e-12 * omega(t, x, y), rel=1e-12)
+        assert omega(1e-12 * t, x, y) != 0.0
 
     def test_rejects_general_matrix(self, rng):
         bad = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -394,14 +401,14 @@ class TestScaleCovariance:
     def test_uncertified_frame_is_refused(self, monkeypatch):
         # a frame rotated by 1e-6 couples the basis far above the cutoff
         # 3 cluster_tol = 6e-8, so no count is certified
-        exact = symplectic.spectral_decompose
+        exact = SpectralData.from_hermitian
         rng = np.random.default_rng(77)
 
         def rotated(h, cluster_tol=None):
             sd = exact(h, cluster_tol)
             return replace(sd, frame=sd.frame @ matrix_exp(1e-6 * random_skew_hermitian(sd.size, rng)))
 
-        monkeypatch.setattr(symplectic, "spectral_decompose", rotated)
+        monkeypatch.setattr(SpectralData, "from_hermitian", rotated)
         with pytest.raises(ClusterAmbiguity, match="not certified"):
             radical_check(np.diag([0.0, 1.0, 2.0]), sample_count=1)
 
