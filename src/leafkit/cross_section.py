@@ -16,8 +16,12 @@ max_i ||e_i(R) - e_i(T)|| < 1 for the construction to apply at R.
 
 The cross-section, the off-diagonal bound and the on-orbit
 neighborhood criterion work on the orthonormal eigenspace bases B_i
-(n x m_i) of the reference's eigenframe, E_i = B_i B_i*.  Only the
-off-orbit neighborhood criterion forms the n x n projections.
+(n x m_i) of the reference's eigenframe F = [B_1 ... B_p], E_i = B_i B_i*.
+Only the off-orbit neighborhood criterion forms the n x n projections.
+In the frame, every corner B_i* V B_i is a diagonal block of F* V F, so
+psi(V) = F blockdiag(X_1*, ..., X_p*) F* and phi = psi(V) V take one
+product G = F* V per unitary: the corner i is G[b_i] B_i, Y = F
+blockdiag(X_i*), psi = Y F* and phi = Y G.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .opcore import (
     CORNER_TOL,
     SpectralData,
     defect_exceeds,
+    hermitian_norm,
     require_hermitian,
     require_same_size,
     require_unitary,
@@ -134,21 +139,32 @@ def neighborhood_check(ref: ReferenceOperator, r) -> NeighborhoodCheck:
     return NeighborhoodCheck(max_dev=dev, inside=dev < 1.0)
 
 
-def _psi(ref: ReferenceOperator, vm: np.ndarray, corner_tol: float = CORNER_TOL):
-    """psi(V) = sum_i B_i X_i* B_i* from the polar factors X_i of the
-    corners B_i* V B_i, with the smallest corner singular value; raises
-    CornerSingular outside the neighborhood.  V is not validated."""
-    psi = np.zeros((ref.size, ref.size), dtype=np.complex128)
-    min_sv = np.inf
-    for b in ref.spectral.bases:
-        u, s, wh = np.linalg.svd(b.conj().T @ vm @ b)
-        min_sv = min(min_sv, float(s[-1]))
-        if s[-1] <= corner_tol:
-            raise CornerSingular(
-                f"spectral-block compression has smallest singular value {s[-1]:.3e}"
-            )
-        psi += b @ (u @ wh).conj().T @ b.conj().T
-    return psi, min_sv
+def _section(ref: ReferenceOperator, vm: np.ndarray, corner_tol: float = CORNER_TOL):
+    """(Y, G, min_sv) with G = F* V, Y = F blockdiag(X_i*) from the polar
+    factors X_i of the corners B_i* V B_i, and the smallest corner
+    singular value, so that psi(V) = Y F* and phi = psi(V) V = Y G.  The
+    corners of one width share one stacked SVD.  Raises CornerSingular,
+    for the first cluster whose corner is singular, outside the
+    neighborhood.  V is not validated."""
+    f = ref.spectral.frame
+    g = f.conj().T @ vm
+    y = np.empty_like(g)
+    blocks = ref.spectral.blocks
+    by_width: dict[int, list[int]] = {}
+    for i, m in enumerate(ref.spectral.multiplicities):
+        by_width.setdefault(int(m), []).append(i)
+    smallest = np.empty(len(blocks))
+    for idx in by_width.values():
+        u, s, wh = np.linalg.svd(np.stack([g[blocks[i]] @ f[:, blocks[i]] for i in idx]))
+        smallest[idx] = s[:, -1]
+        for i, x_adj in zip(idx, (u @ wh).conj().transpose(0, 2, 1)):
+            y[:, blocks[i]] = f[:, blocks[i]] @ x_adj
+    singular = np.flatnonzero(smallest <= corner_tol)
+    if len(singular):
+        raise CornerSingular(
+            f"spectral-block compression has smallest singular value {smallest[singular[0]]:.3e}"
+        )
+    return y, g, float(smallest.min(initial=np.inf))
 
 
 def cross_section_phi(ref: ReferenceOperator, v, corner_tol: float = CORNER_TOL) -> CrossSectionResult:
@@ -159,10 +175,17 @@ def cross_section_phi(ref: ReferenceOperator, v, corner_tol: float = CORNER_TOL)
     """
     vm = require_unitary(v, name="V")
     require_same_size(ref.T, vm)
-    psi, min_sv = _psi(ref, vm, corner_tol)
-    phi = psi @ vm
-    residual = spectral_norm(phi.conj().T @ ref.T @ phi - vm.conj().T @ ref.T @ vm)
+    y, g, min_sv = _section(ref, vm, corner_tol)
+    psi = y @ ref.spectral.frame.conj().T
+    phi = y @ g
+    residual = hermitian_norm(phi.conj().T @ ref.T @ phi - vm.conj().T @ ref.T @ vm)
     return CrossSectionResult(phi=phi, psi=psi, corner_min_sv=min_sv, residual=residual)
+
+
+def _phi(ref: ReferenceOperator, vm: np.ndarray) -> np.ndarray:
+    """phi = Y G of _section, without forming psi."""
+    y, g, _ = _section(ref, vm)
+    return y @ g
 
 
 def well_definedness_check(ref: ReferenceOperator, v, g) -> float:
@@ -177,10 +200,8 @@ def well_definedness_check(ref: ReferenceOperator, v, g) -> float:
     if defect_exceeds(comm, 1e-10, ref.T):
         residual = spectral_norm(comm)
         raise NotCommuting(f"G does not commute with the reference (residual {residual:.3e})")
-    phi_v = _psi(ref, vm)[0] @ vm
-    gv = gm @ vm
-    phi_gv = _psi(ref, gv)[0] @ gv
-    return spectral_norm(phi_gv - phi_v)
+    phi_v = _phi(ref, vm)
+    return spectral_norm(_phi(ref, gm @ vm) - phi_v)
 
 
 @dataclass(frozen=True)
@@ -204,8 +225,8 @@ def continuity_modulus(
     for v in v_sequence:
         vm = require_unitary(v, name="V")
         require_same_size(ref.T, vm)
-        op_dist = spectral_norm(vm.conj().T @ ref.T @ vm - ref.T)
-        phi = _psi(ref, vm)[0] @ vm
+        op_dist = hermitian_norm(vm.conj().T @ ref.T @ vm - ref.T)
+        phi = _phi(ref, vm)
         records.append(
             ContinuityRecord(op_dist=op_dist, phi_dist=op_norm(phi_norm, phi - eye))
         )

@@ -29,7 +29,6 @@ from .opcore import (
     require_same_size,
     require_square,
     singular_values,
-    spectral_norm,
 )
 
 RANK_REL_TOL = 1e-10
@@ -304,9 +303,9 @@ def rank_sandwich_check(phi: NormingFunctionSpec, k: int, f1, f2) -> SandwichRes
         r = numerical_rank(f)
         if r > k:
             raise RankTooHigh(f"rank({name}) = {r} exceeds k = {k}")
-    d = f1 - f2
-    a = spectral_norm(d)
-    b = op_norm(phi, d)
+    s = singular_values(f1 - f2)
+    a = float(s.max(initial=0.0))
+    b = eval_snf(phi, s)
     return SandwichResult(
         lower_ok=a <= b + 1e-9,
         upper_ok=b <= 2 * k * a + 1e-9,

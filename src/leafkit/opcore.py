@@ -68,6 +68,13 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def hermitian_norm(a: np.ndarray) -> float:
+    """Spectral norm of the Hermitian part of a, the largest |eigenvalue|:
+    the norm of a matrix that is Hermitian by construction, without an
+    SVD."""
+    return float(np.abs(np.linalg.eigvalsh(0.5 * (a + a.conj().T))).max(initial=0.0))
+
+
 def within(value: float, tol: float, m: np.ndarray | None = None) -> bool:
     """Whether value <= tol * max(1, ||m||), or value <= tol without m; the
     norm of m, an SVD, is taken only when value > tol."""
@@ -352,7 +359,7 @@ def polar_decompose(a, invertibility_tol: float = 1e-12) -> PolarFactors:
             f"smallest singular value {smin:.3e} <= tolerance {invertibility_tol:.3e}"
         )
     x = u @ vh
-    q = vh.conj().T @ np.diag(s) @ vh
+    q = (vh.conj().T * s) @ vh
     q = 0.5 * (q + q.conj().T)
     return PolarFactors(unitary_part=x, positive_part=q)
 
@@ -376,7 +383,8 @@ def function_calculus(a, f: Callable[[float], float]) -> np.ndarray:
     """
     m = require_hermitian(a)
     w, v = np.linalg.eigh(m)
-    slack = 1e-10 * max(1.0, spectral_norm(m))
+    # the norm of Hermitian m is its largest |eigenvalue|
+    slack = 1e-10 * max(1.0, float(np.abs(w).max(initial=0.0)))
     if len(w) and (w[0] < -slack or w[-1] > 1.0 + slack):
         raise SpectrumOutOfRange(
             f"spectrum [{w[0]:.3e}, {w[-1]:.3e}] not contained in [0, 1]"

@@ -15,6 +15,10 @@ iteration, as the library ran them before it stacked them; each draws
 from a generator the caller passes, so a test can compare what the
 library's generator consumed.
 
+psi_per_cluster is the cross-section's psi(V) as the library built it
+before it read every corner off one frame product: one B_i* V B_i
+product, one SVD and one n x n rank-m_i term per cluster.
+
 report_json is the stdlib layout of a CLI report, which cli.emit_report
 reproduces byte for byte without the pure-Python indenting encoder.
 """
@@ -25,7 +29,8 @@ import numpy as np
 
 from leafkit.cli import _json_default
 from leafkit.norming import adjoint_snf, eval_snf, op_norm
-from leafkit.opcore import SpectralData, random_skew_hermitian
+from leafkit.errors import CornerSingular
+from leafkit.opcore import CORNER_TOL, SpectralData, random_skew_hermitian
 
 
 def skew_hermitian_basis(n):
@@ -235,6 +240,23 @@ def offdiag_max_violation(ref, phi, w):
                 lhs = op_norm(phi, cores[blocks[i], blocks[j]]) * abs(lams[i] - lams[j])
                 worst = max(worst, lhs - comm_norm)
     return float(worst)
+
+
+def psi_per_cluster(ref, vm, corner_tol=CORNER_TOL):
+    """psi(V) = sum_i B_i X_i* B_i* from the polar factors X_i of the
+    corners B_i* V B_i, with the smallest corner singular value; raises
+    CornerSingular outside the neighborhood.  V is not validated."""
+    psi = np.zeros((ref.size, ref.size), dtype=np.complex128)
+    min_sv = np.inf
+    for b in ref.spectral.bases:
+        u, s, wh = np.linalg.svd(b.conj().T @ vm @ b)
+        min_sv = min(min_sv, float(s[-1]))
+        if s[-1] <= corner_tol:
+            raise CornerSingular(
+                f"spectral-block compression has smallest singular value {s[-1]:.3e}"
+            )
+        psi += b @ (u @ wh).conj().T @ b.conj().T
+    return psi, min_sv
 
 
 def report_json(report):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
@@ -301,6 +301,57 @@ class TestCrossSectionPhi:
             phi1 = cross_section_phi(ref, v).phi
             phi2 = cross_section_phi(ref, phi1).phi
             assert spectral_norm(phi2 - phi1) <= 1e-8
+
+
+class TestAgainstPerClusterLoop:
+    """cross_section_phi against the per-cluster construction of psi in
+    oracles.psi_per_cluster, on mixed corner widths."""
+
+    @staticmethod
+    def assert_is_the_per_cluster_loop(t, v):
+        """Returns whether both raised CornerSingular."""
+        ref = build_reference(t)
+        n = ref.size
+        try:
+            psi, min_sv = oracles.psi_per_cluster(ref, v)
+        except CornerSingular:
+            with pytest.raises(CornerSingular, match="spectral-block compression has smallest singular value"):
+                cross_section_phi(ref, v)
+            return True
+        res = cross_section_phi(ref, v)
+        np.testing.assert_allclose(res.psi, psi, rtol=0, atol=1e-13 * n)
+        np.testing.assert_allclose(res.phi, psi @ v, rtol=0, atol=1e-13 * n)
+        assert abs(res.corner_min_sv - min_sv) <= 1e-15
+        return False
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.integers(1, 6), min_size=2, max_size=6).filter(lambda m: sum(m) <= 24),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.05, 1.5),
+        st.booleans(),
+    )
+    @example([5, 3, 3, 1], 21, 0.4, False)
+    @example([4, 4, 1], 22, 0.4, False)
+    @example([5, 3, 3, 1], 23, 0.4, True)
+    @example([4, 4, 1], 24, 0.4, True)
+    def test_is_the_per_cluster_loop(self, mults, seed, angle, swap):
+        # with swap, V sends one frame vector of cluster 0 into cluster 1,
+        # so corner 0 is singular, and a unitary commuting with T keeps it so
+        rng = np.random.default_rng(seed)
+        t, q, groups = spectrum_with_frame(separated_values(rng, len(mults)), mults, rng)
+        n = len(q)
+        if swap:
+            perm = np.arange(n)
+            perm[[groups[0][0], groups[1][0]]] = perm[[groups[1][0], groups[0][0]]]
+            v = commuting_unitary(t, rng) @ q[:, perm] @ q.conj().T
+        else:
+            v = random_unitary(n, rng, angle / np.sqrt(n))
+        assert self.assert_is_the_per_cluster_loop(t, v) == swap
+
+    def test_swap_example(self):
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        assert self.assert_is_the_per_cluster_loop(np.diag([1.0, 2.0]).astype(complex), swap)
 
 
 class TestWellDefinedness:

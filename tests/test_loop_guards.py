@@ -2,7 +2,9 @@
 shared density eigensystem.
 
 radical_check, adjoint_defect and offdiag_bound_check each evaluate their
-samples, candidates or block pairs as stacks.  These tests count the calls
+samples, candidates or block pairs as stacks, and the cross-section
+takes the polar factors of its corners in one stacked SVD per corner
+width.  These tests count the calls
 into the kernels underneath, so an edit that brings back one call per
 sample fails here without a timing test.  Likewise kernel_range_split and
 centralizer_basis return views that build no unit until one is read, the
@@ -10,6 +12,8 @@ state functions share one eigendecomposition per density, the
 centralizer report checks its units in stacks, and every reader of a
 reference T passes each operand through one Hermitian gate and builds
 one frame per operand with SpectralData.from_hermitian.
+function_calculus reads its norm off its eigenvalues, and
+rank_sandwich_check takes both distances off one SVD of F1 - F2.
 """
 
 from collections import Counter
@@ -21,9 +25,12 @@ from leafkit import cli, norming, opcore, states
 from leafkit.cli import run_command
 from leafkit.cross_section import (
     build_reference,
+    continuity_modulus,
+    cross_section_phi,
     generated_algebra_dimension,
     minimal_polynomial,
     offdiag_bound_check,
+    well_definedness_check,
 )
 from leafkit.matrixio import write_matrix
 from leafkit.norming import adjoint_defect, lorentz, schatten
@@ -88,6 +95,49 @@ def test_offdiag_takes_one_svd_per_core_shape(monkeypatch):
     shapes = {(a, b) for i, a in enumerate(mults) for j, b in enumerate(mults) if i != j}
     # the stacked cores of each shape, and the commutator TW - WT once
     assert calls == Counter({3: len(shapes), 2: 1})
+
+
+@pytest.mark.parametrize("mults", [(3, 3, 2, 2, 1), (4, 4, 4), (5, 3, 3, 1)])
+def test_section_takes_one_svd_per_corner_width(monkeypatch, mults):
+    rng = np.random.default_rng(15)
+    t = hermitian_with_spectrum(np.repeat(np.arange(len(mults), dtype=float), mults), rng)
+    ref = build_reference(0.5 * (t + t.conj().T))
+    n, f = ref.size, ref.spectral.frame
+    v = random_unitary(n, rng, 0.1)
+    g = (f * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))) @ f.conj().T
+    steps = [random_unitary(n, rng, 2.0**-k) for k in range(1, 4)]
+    widths = len(set(mults))
+    calls = counted(monkeypatch, np.linalg, "svd", lambda a, **_: np.ndim(a))
+    cross_section_phi(ref, v)
+    assert calls == Counter({3: widths})
+    calls.clear()
+    well_definedness_check(ref, v, g)
+    assert calls == Counter({3: 2 * widths})
+    calls.clear()
+    continuity_modulus(ref, schatten(1), steps)
+    # and one SVD of phi - 1 per step for its ideal norm
+    assert calls == Counter({3: len(steps) * widths, 2: len(steps)})
+
+
+def test_function_calculus_takes_no_svd(monkeypatch):
+    rng = np.random.default_rng(16)
+    a = hermitian_with_spectrum(rng.uniform(0.0, 1.0, 8), rng)
+    svd = counted(monkeypatch, np.linalg, "svd")
+    norms = counted(monkeypatch, np.linalg, "norm", lambda a, ord=None: ord)
+    opcore.function_calculus(0.5 * (a + a.conj().T), lambda x: x * x)
+    assert svd == Counter()
+    assert norms[2] == 0
+
+
+def test_rank_sandwich_takes_three_svds(monkeypatch):
+    rng = np.random.default_rng(17)
+    f1, f2 = (random_unitary(8, rng)[:, :2] @ random_unitary(8, rng)[:2] for _ in range(2))
+    svd = counted(monkeypatch, np.linalg, "svd")
+    norms = counted(monkeypatch, np.linalg, "norm", lambda a, ord=None: ord)
+    norming.rank_sandwich_check(lorentz(SQRT_PI), 2, f1, f2)
+    # the rank gates of F1 and F2, and one SVD of F1 - F2 for both distances
+    assert svd == Counter({None: 3})
+    assert norms == Counter()
 
 
 def test_unit_views_build_no_unit(monkeypatch):
