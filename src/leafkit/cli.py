@@ -44,6 +44,7 @@ from .matrixio import indented_matrix_text, matrix_to_obj, parse_matrix, write_m
 from .opcore import (
     CORNER_TOL,
     SpectralData,
+    hermitian_norm,
     matrix_exp,
     require_hermitian,
     require_same_size,
@@ -217,7 +218,8 @@ def _inputs(cmd: Command, args) -> dict:
 @command("norm", "ideal norm of a matrix", ["matrix"], phi=PHI)
 def cmd_norm(args, a):
     from . import norming
-    return {"norm": norming.op_norm(args.phi, a), "singular_values": singular_values(a)}, {}, True
+    sv = singular_values(a)
+    return {"norm": norming.eval_snf(args.phi, sv), "singular_values": sv}, {}, True
 
 
 @command("dual-check", "trace-pairing duality bound", ["T", "S"], phi=PHI)
@@ -410,7 +412,9 @@ def cmd_polarization(args, t):
 def cmd_kahler_check(args, t):
     from . import symplectic
     res = symplectic.kaehler_check(t, sample_count=args.samples, seed=args.seed)
-    ok = res.isotropy_max_abs <= 1e-9 * res.scale and res.positivity_min >= -1e-9 * res.scale
+    # the frame remainder is applied against each contract, never in its favour
+    rem = res.frame_remainder
+    ok = res.isotropy_max_abs + rem <= 1e-9 * res.scale and res.positivity_min - rem >= -1e-9 * res.scale
     return asdict(res), {"isotropy": 1e-9, "positivity_floor": -1e-9}, ok
 
 
@@ -458,7 +462,7 @@ def cmd_cross_section(args, t, v):
     ref = cs.build_reference(t)
     res = cs.cross_section_phi(ref, v, corner_tol=args.corner_tol)
     n = t.shape[0]
-    unitary_defect = spectral_norm(res.phi.conj().T @ res.phi - np.eye(n))
+    unitary_defect = hermitian_norm(res.phi.conj().T @ res.phi - np.eye(n))
     psi_comm = spectral_norm(res.psi @ ref.T - ref.T @ res.psi)
     ok = (
         within(res.residual, args.tol, t)

@@ -271,7 +271,7 @@ def duality_gap(phi: NormingFunctionSpec, t, s) -> DualityGap:
     tm = require_square(t, "T")
     sm = require_square(s, "S")
     require_same_size(tm, sm)
-    pairing = complex(np.trace(tm @ sm))
+    pairing = complex(np.einsum("ij,ji->", tm, sm))
     bound = op_norm(adjoint_snf(phi), tm) * op_norm(phi, sm)
     return DualityGap(pairing=pairing, bound=bound, gap=bound - abs(pairing))
 

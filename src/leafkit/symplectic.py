@@ -30,7 +30,6 @@ from .opcore import (
     require_same_size,
     require_skew_hermitian,
     require_unitary,
-    spectral_norm,
 )
 
 # matrix entries in one stack of sampled draws: bounds the working set
@@ -337,37 +336,90 @@ class KaehlerCheck:
     isotropy_max_abs: float
     positivity_min: float
     scale: float
+    frame_remainder: float
+
+
+# c of the frame remainder 2 ||E||_F + c eta ||T||: the exact constant is
+# 2 (1 + ||G*G - I||_2), and require_unitary holds ||G*G - I||_2 <= 1e-9
+_FRAME_C = 3.0
 
 
 def kaehler_check(t, sample_count: int = 200, seed: int = 0) -> KaehlerCheck:
-    """Sampled isotropy and positivity of the polarization.
+    """Sampled isotropy and positivity of the polarization, evaluated
+    entrywise in the polarization-ordered frame G.
 
-    For Z1, Z2 random in the polarization (unit Frobenius norm) the
-    complex-bilinear form vanishes; for Z in the polarization
-    -i omega_T(Z, Z*) is nonnegative.  Both contracts are relative to
-    scale = max(1, ||T||).  A Hermitian reference is read as its skew
-    partner iT."""
+    For Z1, Z2 random in the polarization the complex-bilinear form
+    Tr(T [Z1, Z2]) vanishes; for Z in the polarization -i omega_T(Z, Z*)
+    is nonnegative.  Each draw is Z = G C G* with the coefficients C
+    normalized to ||C||_F = 1, and no Z is formed: with D = G* T G,
+    delta = diag(D) and E = D - diag(delta), a frame with G*G = I gives
+
+        Tr(T [Z1, Z2]) = sum_ab (delta_a - delta_b) C1_ab C2_ba + Tr(E [C1, C2]),
+
+    the sum running over the in-block units (a, b) whose transpose is a
+    unit too, and for Z2 = Z1* the positivity value
+    Re(-i sum_ab (delta_a - delta_b) |C1_ab|^2) over every unit.  For
+    eta = ||G*G - I||_F each value lies within
+
+        frame_remainder = 2 ||E||_F + 3 eta ||T||
+
+    of the trace form at Z = G C G*: |Tr(E [C1, C2])| <= 2 ||E||_F, and
+    each of the two terms of G*G - I between C1 and C2 contributes at
+    most ||D|| eta <= (1 + 1e-9) ||T|| eta, since the frame passed
+    require_unitary.  The bound is of exact arithmetic; the sums
+    themselves carry roundoff of order n u ||T||.
+
+    ||T|| is read off the frame's eigenvalues, the largest |eigenvalue|.
+    Both contracts are relative to scale = max(1, ||T||) and applied with
+    the remainder against them: isotropy_max_abs + frame_remainder and
+    positivity_min - frame_remainder.  A Hermitian reference is read as
+    its skew partner iT."""
     _require_samples(sample_count)
     tm, sd = _reference(t)
     mask = PolarizationMask(sd)
-    size = mask.complex_dim
+    g = mask.ordered_frame
+    n = sd.size
+    d = g.conj().T @ tm @ g
+    delta = np.diagonal(d)
+    eta = np.linalg.norm(g.conj().T @ g - np.eye(n))
+    norm_t = float(np.abs(sd.values).max())
+    remainder = 2.0 * np.linalg.norm(d - np.diag(delta)) + _FRAME_C * eta * norm_t
+
+    rows, cols = mask.units
+    size = len(rows)
+    weight = delta[rows] - delta[cols]
+    # the units (a, b) whose transpose (b, a) is a unit too: the in-block
+    # units, diagonal ones included with their weight 0
+    index = np.full((n, n), -1)
+    index[rows, cols] = np.arange(size)
+    partner = index[cols, rows]
+    pair = np.flatnonzero(partner >= 0)
+    partner = partner[pair]
+    iso_weight = weight[pair]
+    # a draw's row holds Re C1, Im C1, Re C2, Im C2: gather (Re, Im) of C1
+    # at pair and of C2 at partner side by side, read as complex
+    gather = np.concatenate([np.stack([pair, size + pair], axis=1).ravel(),
+                             np.stack([2 * size + partner, 3 * size + partner], axis=1).ravel()])
+    # per row of squares: the sum, and the positivity sum Re(-i w) = Im(w)
+    sums = np.stack([np.ones(size), weight.imag], axis=1)
+
     rng = np.random.default_rng(seed)
     iso_max = 0.0
     pos_min = np.inf
-    for m in _stacks(sample_count, sd.size):
+    for m in _stacks(sample_count, n):
         # per sample: Re and Im of the coefficients of Z1, then of Z2
         x = rng.standard_normal((m, 2, 2, size))
-        z = mask.element(x[:, :, 0] + 1j * x[:, :, 1])
-        nz = np.linalg.norm(z, axis=(-2, -1), keepdims=True)
-        np.divide(z, nz, out=z, where=nz > 0)
-        z1, z2 = z[:, 0], z[:, 1]
-        iso_max = max(iso_max, float(np.abs(_trace_form(tm, z1, z2)).max()))
-        pos = (-1j * _trace_form(tm, z1, z1.conj().swapaxes(-2, -1))).real
-        pos_min = min(pos_min, float(pos.min()))
+        sq = (np.square(x).reshape(4 * m, size) @ sums).reshape(m, 2, 2, 2)
+        norm2 = sq[..., 0].sum(axis=2)
+        c = np.take(x.reshape(m, 4 * size), gather, axis=1).view(np.complex128)
+        iso = (c[:, : len(pair)] * c[:, len(pair) :]) @ iso_weight
+        iso_max = max(iso_max, float((np.abs(iso) / np.sqrt(norm2[:, 0] * norm2[:, 1])).max()))
+        pos_min = min(pos_min, float((sq[:, 0, :, 1].sum(axis=1) / norm2[:, 0]).min()))
     return KaehlerCheck(
         isotropy_max_abs=iso_max,
         positivity_min=float(pos_min),
-        scale=max(1.0, spectral_norm(tm)),
+        scale=max(1.0, norm_t),
+        frame_remainder=float(remainder),
     )
 
 

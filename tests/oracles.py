@@ -124,7 +124,9 @@ def commutation_residual(mask, sample_count, seed):
 
 def kaehler_samples(tm, mask, sample_count, seed):
     """(isotropy_max_abs, positivity_min) of kaehler_check, each draw a
-    coefficient sum over polarization_basis(mask)."""
+    coefficient sum over polarization_basis(mask), normalized in the
+    Frobenius norm, and each form a dense trace Tr(T [Z1, Z2]); the
+    library evaluates the same draws entrywise in the ordered frame."""
     basis = polarization_basis(mask)
     rng = np.random.default_rng(seed)
 

@@ -12,8 +12,11 @@ state functions share one eigendecomposition per density, the
 centralizer report checks its units in stacks, and every reader of a
 reference T passes each operand through one Hermitian gate and builds
 one frame per operand with SpectralData.from_hermitian.
-function_calculus reads its norm off its eigenvalues, and
-rank_sandwich_check takes both distances off one SVD of F1 - F2.
+function_calculus reads its norm off its eigenvalues,
+rank_sandwich_check takes both distances off one SVD of F1 - F2, the
+norm report reads its norm and its singular values off one SVD, and
+kaehler_check evaluates its samples entrywise, with no sampled element
+and no dense trace form.
 """
 
 from collections import Counter
@@ -21,7 +24,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from leafkit import cli, norming, opcore, states
+from leafkit import cli, norming, opcore, states, symplectic
 from leafkit.cli import run_command
 from leafkit.cross_section import (
     build_reference,
@@ -43,7 +46,7 @@ from leafkit.states import (
     jordan_decompose,
     support_projection,
 )
-from leafkit.symplectic import _stacks, kaehler_check, omega, polarization, radical_check
+from leafkit.symplectic import PolarizationMask, _stacks, kaehler_check, omega, polarization, radical_check
 
 from conftest import SQRT_PI, hermitian_with_spectrum, random_unitary
 
@@ -70,6 +73,18 @@ def test_radical_pinches_once_per_stack(monkeypatch, mults, sample_count):
     radical_check(t, sample_count=sample_count)
     n = sum(mults)
     assert calls[None] == len(list(_stacks(sample_count, n)))
+
+
+@pytest.mark.parametrize("mults", [(3, 3, 2), (12, 8, 8, 4)])
+def test_kaehler_forms_no_sample_matrix(monkeypatch, mults):
+    # the samples are coefficient sums in the ordered frame: no element
+    # G C G* and no dense trace form per stack
+    rng = np.random.default_rng(18)
+    t = hermitian_with_spectrum(np.repeat(np.arange(len(mults), dtype=float), mults), rng)
+    elements = counted(monkeypatch, PolarizationMask, "element")
+    forms = counted(monkeypatch, symplectic, "_trace_form")
+    kaehler_check(t, sample_count=200)
+    assert elements == forms == Counter()
 
 
 @pytest.mark.parametrize("phi", [schatten(3), lorentz(SQRT_PI)])
@@ -138,6 +153,15 @@ def test_rank_sandwich_takes_three_svds(monkeypatch):
     # the rank gates of F1 and F2, and one SVD of F1 - F2 for both distances
     assert svd == Counter({None: 3})
     assert norms == Counter()
+
+
+def test_norm_report_takes_one_svd(monkeypatch, tmp_path, capsys):
+    # the ideal norm and the printed singular values share one SVD
+    write_matrix(np.random.default_rng(19).standard_normal((6, 4)), tmp_path / "a.json")
+    svd = counted(monkeypatch, np.linalg, "svd")
+    assert run_command(["norm", "--phi", "lorentz:power:0.5", str(tmp_path / "a.json")]) == 0
+    capsys.readouterr()
+    assert svd == Counter({None: 1})
 
 
 def test_unit_views_build_no_unit(monkeypatch):

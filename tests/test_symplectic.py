@@ -14,6 +14,7 @@ from leafkit.orbits import SPLIT_SEED, isotropy_dimension, kernel_range_split, p
 from leafkit.opcore import SpectralData, matrix_exp, random_skew_hermitian
 from leafkit.states import DensityFunctional, centralizer_basis
 from leafkit.symplectic import (
+    PolarizationMask,
     _reference,
     kaehler_check,
     omega,
@@ -207,6 +208,26 @@ class TestKaehler:
             assert res.isotropy_max_abs <= 1e-9 * res.scale
             assert res.positivity_min >= -1e-9 * res.scale
 
+    def test_flipped_orientation_fails_every_draw(self, monkeypatch, tmp_path, capsys):
+        # with the clusters in ascending theta order the mask holds the lower
+        # block triangle, where -i omega_T(Z, Z*) = sum (theta_a - theta_b) |C_ab|^2
+        # is negative on every draw with a nonzero cross-block coefficient
+        rng = np.random.default_rng(2525)
+        t = hermitian_with_spectrum(np.repeat([2.0, 0.5, -1.0], (2, 3, 1)), rng)
+        t = 0.5 * (t + t.conj().T)
+        write_matrix(t, tmp_path / "t.json")
+        assert run_command(["kahler-check", str(tmp_path / "t.json"), "--samples", "20"]) == 0
+        capsys.readouterr()
+
+        ascending = property(lambda self: tuple(int(i) for i in np.argsort(self.spectral.eigenvalues, kind="stable")))
+        monkeypatch.setattr(PolarizationMask, "block_order", ascending)
+        res = kaehler_check(t, sample_count=20, seed=4)
+        assert res.positivity_min + res.frame_remainder < -1e-9 * res.scale
+        assert run_command(["kahler-check", str(tmp_path / "t.json"), "--samples", "20"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert report["results"]["positivity_min"] < 0.0
+
 
 class TestProjectiveCompare:
     def test_equal_directions_vanish(self, rng):
@@ -299,6 +320,10 @@ class TestAgainstDenseOracles:
         iso_max, pos_min = oracles.kaehler_samples(tm, mask, 10, seed)
         assert abs(kc.isotropy_max_abs - iso_max) <= 1e-12 * scale
         assert abs(kc.positivity_min - pos_min) <= 1e-12 * scale
+        # the frame remainder covers the dense values from the side each
+        # contract is applied on
+        assert iso_max <= kc.isotropy_max_abs + kc.frame_remainder + 1e-15 * scale
+        assert kc.positivity_min - kc.frame_remainder <= pos_min + 1e-15 * scale
 
     @ORACLE_SETTINGS
     @given(clustered_reference(), st.integers(0, 2**31 - 1))
