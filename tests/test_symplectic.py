@@ -219,8 +219,8 @@ class TestKaehler:
         assert run_command(["kahler-check", str(tmp_path / "t.json"), "--samples", "20"]) == 0
         capsys.readouterr()
 
-        ascending = property(lambda self: tuple(int(i) for i in np.argsort(self.spectral.eigenvalues, kind="stable")))
-        monkeypatch.setattr(PolarizationMask, "block_order", ascending)
+        ascending = lambda self: tuple(int(i) for i in np.argsort(self.spectral.eigenvalues, kind="stable"))
+        monkeypatch.setattr(PolarizationMask, "block_order", property(ascending))
         res = kaehler_check(t, sample_count=20, seed=4)
         assert res.positivity_min + res.frame_remainder < -1e-9 * res.scale
         assert run_command(["kahler-check", str(tmp_path / "t.json"), "--samples", "20"]) == 1
