@@ -146,9 +146,8 @@ def lorentz_dual(pi: PiSequence) -> NormingFunctionSpec:
 
 
 def _sorted_desc_abs(xi) -> np.ndarray:
-    x = np.abs(np.asarray(xi, dtype=float).ravel())
-    x.sort()
-    return x[::-1]
+    # contiguous, so a power takes the path it takes on a row of a stack
+    return -np.sort(-np.abs(np.asarray(xi, dtype=float).ravel()))
 
 
 def eval_snf_many(phi: NormingFunctionSpec, rows: np.ndarray) -> np.ndarray:

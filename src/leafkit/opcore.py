@@ -4,7 +4,8 @@ Hermitian spectral decompositions with eigenvalue clustering, singular
 values, polar decomposition, the exponential of skew-Hermitian matrices,
 and functional calculus on positive contractions.  Everything else in the
 package is built on these five operations.  The clustered eigenframe,
-SpectralData, is the one spectral object the other modules read, and
+SpectralData, is the one spectral object the other modules read,
+certify_frame is the one place its float frame is certified, and
 FrameUnits, a read-only sequence of rank-one units on its frame, is the
 one form in which they hand out a basis.
 
@@ -259,6 +260,32 @@ class SpectralData:
         """sum_i lambda_i E_i with the cluster means lambda_i."""
         v = self.frame
         return (v * np.repeat(self.eigenvalues, self.multiplicities)) @ v.conj().T
+
+
+@dataclass(frozen=True, eq=False)
+class FrameCertificate:
+    """Certificate of an eigenframe F of H: D = F* H F and the Frobenius
+    norms of offdiag(D), of F*F - I (eta) and of H F - F diag(values)."""
+
+    d: np.ndarray = field(repr=False)
+    offdiag: float
+    eta: float
+    residual: float
+
+
+def certify_frame(h: np.ndarray, sd: SpectralData) -> FrameCertificate:
+    """The certificate of the frame F of sd against the Hermitian h, from
+    one F*F and one H F product.  NotUnitary is raised when F*F - I fails
+    is_unitary's rule, so a reader may take X -> F X F* as an isometry."""
+    f = sd.frame
+    require_same_size(h, f)
+    gram = f.conj().T @ f - np.eye(sd.size)
+    if defect_exceeds(gram, UNITARY_TOL):
+        raise NotUnitary("eigenframe is not unitary within tolerance")
+    hf = h @ f
+    d = f.conj().T @ hf
+    offdiag = np.linalg.norm(d - np.diag(np.diagonal(d)))
+    return FrameCertificate(d, float(offdiag), float(np.linalg.norm(gram)), float(np.linalg.norm(hf - f * sd.values)))
 
 
 class FrameUnits(Sequence):

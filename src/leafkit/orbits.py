@@ -16,6 +16,7 @@ import numpy as np
 from .opcore import (
     FrameUnits,
     SpectralData,
+    certify_frame,
     hermitian_companion,
     matrix_exp,
     random_skew_hermitian,
@@ -23,7 +24,6 @@ from .opcore import (
     require_same_size,
     require_skew_hermitian,
     require_square,
-    require_unitary,
 )
 
 SPLIT_SEED = 1618
@@ -141,15 +141,16 @@ class KernelRangeSplit:
 def kernel_range_split(t) -> KernelRangeSplit:
     """Split the real Lie algebra of skew-Hermitian matrices along ad T.
 
-    The eigenframe F of T is certified unitary, so the coefficients of a
+    The eigenframe F of T passes certify_frame, so the coefficients of a
     skew-Hermitian S over the combined basis are the entries of F* S F.
     The reported residual is the error of reconstructing a random
     skew-Hermitian S from them, ||F (F* S F) F* - S||_F; the two real
     dimensions add up to n^2.
     """
-    sd = normal_frame(t, name="T")
-    f = require_unitary(sd.frame, "eigenframe")
-    blocks = sd.blocks
+    h = hermitian_companion(t, "T")
+    sd = SpectralData.from_hermitian(h)
+    certify_frame(h, sd)
+    f, blocks = sd.frame, sd.blocks
 
     rng = np.random.default_rng(SPLIT_SEED)
     s = random_skew_hermitian(sd.size, rng)

@@ -23,13 +23,14 @@ from .errors import (
 )
 from .opcore import (
     HERM_TOL,
+    FrameCertificate,
     FrameUnits,
     SpectralData,
-    as_matrix,
+    certify_frame,
     hermitian_companion,
     require_same_size,
     require_skew_hermitian,
-    require_unitary,
+    spectral_norm,
 )
 
 # matrix entries in one stack of sampled draws: bounds the working set
@@ -45,31 +46,18 @@ def _companion(t, name: str = "T") -> np.ndarray:
         raise NotSkewHermitian(f"{name}: expected a skew-Hermitian (or Hermitian) matrix") from None
 
 
-def _reference(t) -> tuple[np.ndarray, SpectralData]:
-    """The skew-Hermitian representative iH of T and the clustered
-    eigenframe F of H.  T is classified once, and F is certified unitary
-    once, so X -> F X F* is an isometry and every count and residual can
-    be read off in frame coordinates."""
+def _reference(t) -> tuple[np.ndarray, SpectralData, FrameCertificate]:
+    """iH for the Hermitian companion H of T, the clustered eigenframe F of
+    H and its certificate: T is classified and F certified once, so every
+    count and residual can be read off in frame coordinates."""
     h = _companion(t)
     sd = SpectralData.from_hermitian(h)
-    require_unitary(sd.frame, "eigenframe")
-    return 1j * h, sd
+    return 1j * h, sd, certify_frame(h, sd)
 
 
 def _trace_form(tm: np.ndarray, z: np.ndarray, w: np.ndarray):
     """Tr(T [Z, W]); one value per pair for stacks of Z and W."""
     return np.trace(tm @ (z @ w - w @ z), axis1=-2, axis2=-1)
-
-
-def omega_complexified(t, z, w) -> complex:
-    """Complex-bilinear trace form Tr(T [Z, W]) on arbitrary complex
-    matrices (the extension of the orbit 2-form to the complexification)."""
-    tm = 1j * _companion(t)
-    zm = as_matrix(z, "Z")
-    wm = as_matrix(w, "W")
-    require_same_size(tm, zm)
-    require_same_size(tm, wm)
-    return complex(_trace_form(tm, zm, wm))
 
 
 def omega(t, x, y) -> float:
@@ -101,10 +89,10 @@ def radical_check(t, sample_count: int = 100, seed: int = 0) -> RadicalCheck:
 
     The basis is the frame basis {i f_a f_a*, f_a f_b* - f_b f_a*,
     i (f_a f_b* + f_b f_a*)} of the eigenframe F of T, and the Gram is
-    evaluated by the trace form on D = F* T F.  Pairs (a, b) couple
-    through 2i (D_aa - D_bb); every other entry involves an off-diagonal
-    entry of D.  Since |Tr(R [X, Y])| <= 2 ||R|| ||X||_F ||Y||_F and the
-    basis elements have Frobenius norm 1 or sqrt(2), those dropped
+    evaluated on F* T F = i D, D = F* H F of the frame certificate.  Pairs
+    (a, b) couple through 2 |D_aa - D_bb|; every other entry involves an
+    off-diagonal entry of D.  Since |Tr(R [X, Y])| <= 2 ||R|| ||X||_F ||Y||_F
+    and the basis elements have Frobenius norm 1 or sqrt(2), those dropped
     couplings have spectral norm at most 4 ||offdiag(D)||_F.  By Weyl's
     inequality each singular value of the full Gram lies within that
     bound of one of the kept 2x2 blocks, so the count is certified when
@@ -122,16 +110,14 @@ def radical_check(t, sample_count: int = 100, seed: int = 0) -> RadicalCheck:
     as its skew partner iT.
     """
     _require_samples(sample_count)
-    tm, sd = _reference(t)
+    tm, sd, cert = _reference(t)
     n = sd.size
-    f = sd.frame
-    d = f.conj().T @ tm @ f
-    diag = np.diagonal(d)
+    theta = np.diagonal(cert.d).real
     a, b = np.triu_indices(n, 1)
-    pair = np.abs((2j * (diag[a] - diag[b])).real)
+    pair = 2.0 * np.abs(theta[a] - theta[b])
     # singular values of the kept Gram: 0 for each i f_a f_a*, |g| twice per pair block
     kept = np.concatenate([np.zeros(n), pair, pair])
-    drop = 4.0 * np.linalg.norm(d - np.diag(diag))
+    drop = 4.0 * cert.offdiag
     cut = 3.0 * sd.cluster_tol
     if np.any((kept > cut - drop) & (kept <= cut + drop)):
         raise ClusterAmbiguity(
@@ -280,23 +266,20 @@ def polarization_properties(t, mask: PolarizationMask | None = None,
     the complexified isotropy, joint spanning of the full matrix space,
     and complementedness (dimension bookkeeping).
 
-    A given mask must be built from T: its eigenframe F must diagonalize
-    T's companion H, ||H F - F diag(values)||_F <= HERM_TOL ||H||_F, or
-    PreconditionError is raised.  The frame of mask is certified unitary,
-    so X -> F X F* is an isometry: the polarization, its adjoint span and
-    their sum have the complex dimensions of their entry supports sup,
+    The eigenframe F of mask, given or built from T's companion H, passes
+    certify_frame (NotUnitary otherwise), so X -> F X F* is an isometry,
+    and must diagonalize H, ||H F - F diag(values)||_F <= HERM_TOL ||H||_F,
+    or PreconditionError is raised.  So the polarization, its adjoint span
+    and their sum have the complex dimensions of their entry supports sup,
     sup.T and sup | sup.T in frame coordinates.
     """
     _require_samples(sample_count)
+    h = _companion(t)
     if mask is None:
-        mask = polarization(t)
-    else:
-        h = _companion(t)
-        f, w = mask.spectral.frame, mask.spectral.values
-        require_same_size(h, f)
-        if np.linalg.norm(h @ f - f * w) > HERM_TOL * np.linalg.norm(h):
-            raise PreconditionError("mask: its eigenframe does not diagonalize T")
+        mask = PolarizationMask(SpectralData.from_hermitian(h))
     sd = mask.spectral
+    if certify_frame(h, sd).residual > HERM_TOL * np.linalg.norm(h):
+        raise PreconditionError("mask: its eigenframe does not diagonalize T")
     n = sd.size
     sup = mask.support()
 
@@ -340,7 +323,7 @@ class KaehlerCheck:
 
 
 # c of the frame remainder 2 ||E||_F + c eta ||T||: the exact constant is
-# 2 (1 + ||G*G - I||_2), and require_unitary holds ||G*G - I||_2 <= 1e-9
+# 2 (1 + ||G*G - I||_2), and certify_frame holds ||G*G - I||_2 <= UNITARY_TOL = 1e-9
 _FRAME_C = 3.0
 
 
@@ -351,7 +334,8 @@ def kaehler_check(t, sample_count: int = 200, seed: int = 0) -> KaehlerCheck:
     For Z1, Z2 random in the polarization the complex-bilinear form
     Tr(T [Z1, Z2]) vanishes; for Z in the polarization -i omega_T(Z, Z*)
     is nonnegative.  Each draw is Z = G C G* with the coefficients C
-    normalized to ||C||_F = 1, and no Z is formed: with D = G* T G,
+    normalized to ||C||_F = 1, and no Z is formed: with D = G* T G, which
+    is i F* H F of the frame certificate permuted into block order,
     delta = diag(D) and E = D - diag(delta), a frame with G*G = I gives
 
         Tr(T [Z1, Z2]) = sum_ab (delta_a - delta_b) C1_ab C2_ba + Tr(E [C1, C2]),
@@ -366,7 +350,7 @@ def kaehler_check(t, sample_count: int = 200, seed: int = 0) -> KaehlerCheck:
     of the trace form at Z = G C G*: |Tr(E [C1, C2])| <= 2 ||E||_F, and
     each of the two terms of G*G - I between C1 and C2 contributes at
     most ||D|| eta <= (1 + 1e-9) ||T|| eta, since the frame passed
-    require_unitary.  The bound is of exact arithmetic; the sums
+    certify_frame.  The bound is of exact arithmetic; the sums
     themselves carry roundoff of order n u ||T||.
 
     ||T|| is read off the frame's eigenvalues, the largest |eigenvalue|.
@@ -375,15 +359,12 @@ def kaehler_check(t, sample_count: int = 200, seed: int = 0) -> KaehlerCheck:
     positivity_min - frame_remainder.  A Hermitian reference is read as
     its skew partner iT."""
     _require_samples(sample_count)
-    tm, sd = _reference(t)
+    _, sd, cert = _reference(t)
     mask = PolarizationMask(sd)
-    g = mask.ordered_frame
     n = sd.size
-    d = g.conj().T @ tm @ g
-    delta = np.diagonal(d)
-    eta = np.linalg.norm(g.conj().T @ g - np.eye(n))
+    delta = 1j * np.concatenate([np.diagonal(cert.d)[sd.blocks[k]] for k in mask.block_order])
     norm_t = float(np.abs(sd.values).max())
-    remainder = 2.0 * np.linalg.norm(d - np.diag(delta)) + _FRAME_C * eta * norm_t
+    remainder = 2.0 * cert.offdiag + _FRAME_C * cert.eta * norm_t
 
     rows, cols = mask.units
     size = len(rows)
@@ -435,9 +416,9 @@ def projective_form_compare(x0, a1, a2) -> ProjectiveCompare:
     projection p_x against the geometric form 2 Im <a1 x, a2 x> of the
     projective space, for a unit vector x and skew-Hermitian directions.
 
-    The two agree in absolute value; the relative sign depends on
-    orientation conventions, so both signed values are reported.
-    The inner product is linear in its first argument.
+    The two agree in absolute value, to 1e-9 max(1, ||a1|| ||a2||); the
+    relative sign depends on orientation conventions, so both signed values
+    are reported.  The inner product is linear in its first argument.
     """
     x = np.asarray(x0, dtype=np.complex128).ravel()
     if abs(np.linalg.norm(x) - 1.0) > 1e-10:
@@ -452,8 +433,9 @@ def projective_form_compare(x0, a1, a2) -> ProjectiveCompare:
     comm = a1m @ a2m - a2m @ a1m
     orbit = (1j * np.trace(p @ comm)).real
     geom = 2.0 * np.vdot(a2m @ x, a1m @ x).imag
+    bound = 1e-9 * max(1.0, spectral_norm(a1m) * spectral_norm(a2m))
     return ProjectiveCompare(
         orbit_form=float(orbit),
         geometric_form=float(geom),
-        abs_match=abs(abs(orbit) - abs(geom)) <= 1e-9,
+        abs_match=abs(abs(orbit) - abs(geom)) <= bound,
     )

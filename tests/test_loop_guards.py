@@ -10,8 +10,9 @@ sample fails here without a timing test.  Likewise kernel_range_split and
 centralizer_basis return views that build no unit until one is read, the
 state functions share one eigendecomposition per density, the
 centralizer report checks its units in stacks, and every reader of a
-reference T passes each operand through one Hermitian gate and builds
-one frame per operand with SpectralData.from_hermitian.
+reference T passes each operand through one Hermitian gate, builds
+one frame per operand with SpectralData.from_hermitian and certifies a
+frame only through opcore.certify_frame, at most once.
 function_calculus reads its norm off its eigenvalues,
 rank_sandwich_check takes both distances off one SVD of F1 - F2, the
 norm report reads its norm and its singular values off one SVD, and
@@ -24,7 +25,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from leafkit import cli, norming, opcore, states, symplectic
+from leafkit import cli, cross_section, matrixio, norming, opcore, orbits, states, symplectic
 from leafkit.cli import run_command
 from leafkit.cross_section import (
     build_reference,
@@ -46,9 +47,13 @@ from leafkit.states import (
     jordan_decompose,
     support_projection,
 )
-from leafkit.symplectic import PolarizationMask, _stacks, kaehler_check, omega, polarization, radical_check
+from leafkit.symplectic import (
+    PolarizationMask, _stacks, kaehler_check, omega, polarization, polarization_properties, radical_check,
+)
 
 from conftest import SQRT_PI, hermitian_with_spectrum, random_unitary
+
+LEAFKIT = (cli, cross_section, matrixio, norming, opcore, orbits, states, symplectic)
 
 
 def counted(monkeypatch, owner, name, key=lambda *args: None):
@@ -214,33 +219,41 @@ def test_centralizer_report_takes_no_unit_svd(monkeypatch, tmp_path, capsys):
     assert svd == Counter({(n, 2): 1})
 
 
-# each reader of T: the call on T, its Hermitian operands and its frames
+# each reader of T: the call on T, its Hermitian operands, its frames and
+# its frame certificates
 READERS = {
-    "build_reference": (build_reference, 1, 1),
-    "minimal_polynomial": (minimal_polynomial, 1, 1),
-    "generated_algebra_dimension": (generated_algebra_dimension, 1, 1),
-    "pinching": (lambda t: pinching(t, t), 1, 1),
-    "kernel_range_split": (kernel_range_split, 1, 1),
-    "isotropy_dimension": (isotropy_dimension, 1, 1),
-    "leaf_signature": (lambda t: leaf_signature(t, 1e-9), 1, 1),
-    "same_leaf": (lambda t: same_leaf(t, t[::-1, ::-1], 1e-9), 2, 2),
-    "radical_check": (lambda t: radical_check(t, sample_count=3), 1, 1),
-    "polarization": (polarization, 1, 1),
-    "kaehler_check": (lambda t: kaehler_check(t, sample_count=3), 1, 1),
-    "omega": (lambda t: omega(t, 1j * t, 1j * np.eye(len(t))), 1, 0),
+    "build_reference": (build_reference, 1, 1, 0),
+    "minimal_polynomial": (minimal_polynomial, 1, 1, 0),
+    "generated_algebra_dimension": (generated_algebra_dimension, 1, 1, 0),
+    "pinching": (lambda t: pinching(t, t), 1, 1, 0),
+    "kernel_range_split": (kernel_range_split, 1, 1, 1),
+    "isotropy_dimension": (isotropy_dimension, 1, 1, 0),
+    "leaf_signature": (lambda t: leaf_signature(t, 1e-9), 1, 1, 0),
+    "same_leaf": (lambda t: same_leaf(t, t[::-1, ::-1], 1e-9), 2, 2, 0),
+    "radical_check": (lambda t: radical_check(t, sample_count=3), 1, 1, 1),
+    "polarization": (polarization, 1, 1, 1),
+    "polarization_properties": (lambda t: polarization_properties(t, sample_count=3), 1, 1, 1),
+    "kaehler_check": (lambda t: kaehler_check(t, sample_count=3), 1, 1, 1),
+    "omega": (lambda t: omega(t, 1j * t, 1j * np.eye(len(t))), 1, 0, 0),
 }
 
 
 @pytest.mark.parametrize("reader", list(READERS))
 def test_each_reader_of_t_builds_one_frame(monkeypatch, reader):
-    # each Hermitian operand passes the Hermitian gate once and each frame
-    # is clustered once, so a second gate behind the first one fails here
-    call, operands, frames = READERS[reader]
+    # each Hermitian operand passes the Hermitian gate once, each frame is
+    # clustered once, and a frame is certified by certify_frame alone and
+    # at most once, so a second gate or a second F*F product fails here
+    call, operands, frames, certificates = READERS[reader]
     rng = np.random.default_rng(14)
     t = hermitian_with_spectrum(np.repeat([2.0, 1.0, -1.0], (3, 2, 1)), rng)
     t = 0.5 * (t + t.conj().T)
     gates = counted(monkeypatch, opcore, "is_hermitian")
     clusterings = counted(monkeypatch, SpectralData, "from_eigh")
+    unitary = counted(monkeypatch, opcore, "is_unitary")
+    # every module that holds certify_frame under its own name
+    certs = [counted(monkeypatch, m, "certify_frame") for m in LEAFKIT if hasattr(m, "certify_frame")]
     call(t)
     assert gates == Counter({None: operands})
     assert clusterings == Counter({None: frames} if frames else {})
+    assert sum(certs, Counter()) == Counter({None: certificates} if certificates else {})
+    assert unitary == Counter()

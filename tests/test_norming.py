@@ -108,6 +108,16 @@ class TestAxioms:
             singles = np.array([eval_snf(phi, r) for r in rows])
             np.testing.assert_allclose(batch, singles, rtol=1e-14)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0, 7.3])
+    def test_single_is_the_stacked_row_bit_for_bit(self, p):
+        # eval_snf sorts into a contiguous row, so numpy raises it to the
+        # power p on the same path as each row of a stack
+        rng = np.random.default_rng(26)
+        rows = -np.sort(-np.abs(rng.standard_normal((40, 6))), axis=1)
+        batch = eval_snf_many(schatten(p), rows)
+        for row, value in zip(rows, batch):
+            assert eval_snf(schatten(p), rng.permutation(row)) == value
+
 
 class TestOpNorm:
     def test_identity_trace_norm(self):

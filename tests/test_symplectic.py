@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from leafkit.cli import run_command
-from leafkit.errors import ClusterAmbiguity, NotSkewHermitian, NotUnitVector, PreconditionError, SizeMismatch
+from leafkit.errors import (
+    ClusterAmbiguity, NotSkewHermitian, NotUnitary, NotUnitVector, PreconditionError, SizeMismatch,
+)
 from leafkit.matrixio import write_matrix
 from leafkit.orbits import SPLIT_SEED, isotropy_dimension, kernel_range_split, pinching
 from leafkit.opcore import SpectralData, matrix_exp, random_skew_hermitian
@@ -18,7 +20,6 @@ from leafkit.symplectic import (
     _reference,
     kaehler_check,
     omega,
-    omega_complexified,
     polarization,
     polarization_properties,
     projective_form_compare,
@@ -47,7 +48,7 @@ class TestOmega:
     def test_real_valued_and_antisymmetric(self, rng):
         for _ in range(20):
             t, x, y = (random_skew(4, rng) for _ in range(3))
-            val = omega_complexified(t, x, y)
+            val = np.trace(t @ (x @ y - y @ x))
             assert abs(val.imag) <= 1e-12 * max(1.0, abs(val))
             assert omega(t, x, y) == pytest.approx(-omega(t, y, x), abs=1e-12)
 
@@ -171,6 +172,15 @@ class TestPolarization:
         props = polarization_properties(t, polarization(1j * t))
         assert props.dim_intersection == props.dim_intersection_expected == isotropy_dimension(t) == 6
 
+    @pytest.mark.parametrize("factor", [1e-6, 0.0])
+    def test_mask_with_a_non_orthonormal_frame_is_refused(self, factor):
+        # a scaled frame still diagonalizes T within the residual test, so
+        # only the certificate of its frame can refuse it
+        t = np.diag([3.0, 1.0, 1.0, 0.0])
+        sd = polarization(t).spectral
+        with pytest.raises(NotUnitary):
+            polarization_properties(t, PolarizationMask(replace(sd, frame=factor * sd.frame)))
+
     def test_positivity_on_matrix_units(self):
         # -i omega(Z, Z*) on an included off-diagonal unit equals the
         # theta gap of its block pair, hence is nonnegative
@@ -179,7 +189,7 @@ class TestPolarization:
         offdiag = [b for b in oracles.polarization_basis(mask) if abs(b[0, 1]) > 0.5]
         assert len(offdiag) == 1
         z = offdiag[0]
-        val = (-1j * omega_complexified(t, z, z.conj().T)).real
+        val = (-1j * np.trace(t @ (z @ z.conj().T - z.conj().T @ z))).real
         assert val == pytest.approx(2.0 - 1.0, abs=1e-12)
 
 
@@ -269,6 +279,16 @@ class TestProjectiveCompare:
             assert res.abs_match
             assert res.orbit_form == pytest.approx(-res.geometric_form, abs=1e-9)
 
+    @pytest.mark.parametrize("k", range(-8, 9))
+    def test_match_is_relative_to_the_directions(self, k):
+        # the forms scale as ||a1|| ||a2||, and so does their roundoff
+        rng = np.random.default_rng(2600 + k)
+        for _ in range(50):
+            x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            x /= np.linalg.norm(x)
+            a1, a2 = 10.0**k * random_skew(5, rng), 10.0**k * random_skew(5, rng)
+            assert projective_form_compare(x, a1, a2).abs_match
+
     def test_rejects_non_unit_vector(self, rng):
         with pytest.raises(NotUnitVector):
             projective_form_compare(np.array([1.0, 1.0]), random_skew(2, rng), random_skew(2, rng))
@@ -349,7 +369,7 @@ class TestAgainstDenseOracles:
         with recorded_generators() as made:
             res = radical_check(t, sample_count=sample_count, seed=seed)
         rng = np.random.default_rng(seed)
-        tm, sd = _reference(t)
+        tm, sd, _ = _reference(t)
         assert res.sampled_pairing_max == oracles.radical_pairing_max(tm, sd, sample_count, rng)
         assert [g.bit_generator.state for g in made] == [rng.bit_generator.state]
 
