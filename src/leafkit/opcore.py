@@ -285,7 +285,8 @@ def certify_frame(h: np.ndarray, sd: SpectralData) -> FrameCertificate:
     hf = h @ f
     d = f.conj().T @ hf
     offdiag = np.linalg.norm(d - np.diag(np.diagonal(d)))
-    return FrameCertificate(d, float(offdiag), float(np.linalg.norm(gram)), float(np.linalg.norm(hf - f * sd.values)))
+    residual = np.linalg.norm(hf - f * sd.values)
+    return FrameCertificate(d, float(offdiag), float(np.linalg.norm(gram)), float(residual))
 
 
 class FrameUnits(Sequence):
