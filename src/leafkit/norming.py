@@ -32,6 +32,8 @@ from .opcore import (
 )
 
 RANK_REL_TOL = 1e-10
+# largest step of the regularity ratios that pi_regularity counts as stable
+TAIL_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -40,9 +42,8 @@ class PiSequence:
 
     rule is one of:
 
-    * ``"constant"``      -- pi_j = 1;
     * ``"power"``         -- pi_j = j**(-alpha) with 0 <= alpha < 1
-      (alpha < 1 keeps the series divergent);
+      (alpha < 1 keeps the series divergent; alpha = 0 is pi_j = 1);
     * ``"prefix_power"``  -- an explicit nonincreasing prefix, then the
       power tail continuing from the prefix length.
 
@@ -50,19 +51,18 @@ class PiSequence:
     be evaluated numerically.
     """
 
-    rule: str = "constant"
+    rule: str = "power"
     alpha: float = 0.0
     prefix: tuple[float, ...] = ()
     horizon: int = 100_000
 
     def __post_init__(self):
-        if self.rule not in ("constant", "power", "prefix_power"):
+        if self.rule not in ("power", "prefix_power"):
             raise ValueError(f"unknown pi rule {self.rule!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
-        if self.rule in ("power", "prefix_power"):
-            if not 0.0 <= self.alpha < 1.0:
-                raise ValueError("power exponent must satisfy 0 <= alpha < 1")
+        if not 0.0 <= self.alpha < 1.0:
+            raise ValueError("power exponent must satisfy 0 <= alpha < 1")
         if self.rule == "prefix_power":
             p = np.asarray(self.prefix, dtype=float)
             if len(p) == 0:
@@ -77,14 +77,10 @@ class PiSequence:
 
     def values(self, m: int) -> np.ndarray:
         """First m weights."""
-        j = np.arange(1, m + 1, dtype=float)
-        if self.rule == "constant":
-            return np.ones(m)
-        if self.rule == "power":
-            return j ** (-self.alpha)
-        out = j ** (-self.alpha)
-        k = min(len(self.prefix), m)
-        out[:k] = self.prefix[:k]
+        out = np.arange(1, m + 1, dtype=float) ** (-self.alpha)
+        if self.rule == "prefix_power":
+            k = min(len(self.prefix), m)
+            out[:k] = self.prefix[:k]
         return out
 
 
@@ -115,12 +111,8 @@ class NormingFunctionSpec:
         if self.kind == "schatten":
             return "schatten:inf" if np.isinf(self.p) else f"schatten:{self.p:g}"
         tag = "lorentz" if self.kind == "lorentz_pi" else "lorentz-dual"
-        pi = self.pi
-        if pi.rule == "constant":
-            return f"{tag}:power:0"
-        if pi.rule == "power":
-            return f"{tag}:power:{pi.alpha:g}"
-        return f"{tag}:prefix-power:{pi.alpha:g}"
+        rule = "power" if self.pi.rule == "power" else "prefix-power"
+        return f"{tag}:{rule}:{self.pi.alpha:g}"
 
 
 def schatten(p: float) -> NormingFunctionSpec:
@@ -208,50 +200,31 @@ def adjoint_snf(phi: NormingFunctionSpec) -> NormingFunctionSpec:
     raise UnsupportedKind(f"no closed-form adjoint for kind {phi.kind!r}")
 
 
-def adjoint_defect(
-    phi: NormingFunctionSpec,
-    eta,
-    sample_count: int = 200,
-    seed: int = 0,
-) -> float:
+def adjoint_defect(phi: NormingFunctionSpec, eta) -> float:
     """One-sided check of the adjoint gauge.
 
     The adjoint value at eta is a supremum of pairing ratios
     sum_j xi_j eta_j / phi(xi) over nonincreasing nonnegative xi; the
     closed form must dominate every candidate ratio, so the returned
-    defect (closed form minus best sampled ratio) is >= -1e-9.  Candidate
-    sets include the known extremizers (eta itself, indicator prefixes,
-    pi prefixes, the Hoelder-conjugate power of eta) plus sample_count
-    random samples.  Every candidate is a zero-padded row of one array,
-    since trailing zeros change neither phi nor the pairing.
+    defect (closed form minus best candidate ratio) is >= -1e-9.  The
+    candidates are the extremizers that attain the supremum (Gohberg-Krein,
+    ch. III): eta itself, the indicator prefixes, the Hoelder-conjugate
+    power of eta and the pi prefixes, each one row of one array.
     """
-    if sample_count < 0:
-        raise ValueError("sample_count must be >= 0")
     eta = _sorted_desc_abs(eta)
     target = eval_snf(adjoint_snf(phi), eta)
-    m = max(len(eta), 1)
-
-    width = m + 4
-    eta_row = np.pad(eta, (0, width - len(eta)))
-    prefixes = np.tri(m, width)  # row k - 1: the indicator of the first k places
-    rows = [eta_row[None, :], prefixes]
+    m = len(eta)
+    prefixes = np.tri(m)  # row k - 1: the indicator of the first k places
+    rows = [eta[None, :], prefixes]
     if phi.kind == "schatten" and not np.isinf(phi.p) and phi.p > 1.0:
         q = phi.p / (phi.p - 1.0)
-        rows.append(eta_row[None, :] ** (q - 1.0))
+        rows.append(eta[None, :] ** (q - 1.0))
     if phi.kind in ("lorentz_pi", "lorentz_dual"):
-        rows.append(prefixes * np.pad(phi.pi.values(m), (0, 4)))
-
-    rng = np.random.default_rng(seed)
-    drawn = np.zeros((sample_count, width))
-    for row in drawn:
-        k = int(rng.integers(1, m + 5))
-        np.abs(rng.standard_normal(k), out=row[:k])
-    rows.append(np.flip(np.sort(drawn, axis=1), axis=1))
-
+        rows.append(prefixes * phi.pi.values(m))
     rows = np.concatenate(rows)
     denom = eval_snf_many(phi, rows)
     live = denom > 0.0
-    best = float((rows[live] @ eta_row / denom[live]).max(initial=0.0))
+    best = float((rows[live] @ eta / denom[live]).max(initial=0.0))
     return target - best
 
 
@@ -265,7 +238,8 @@ class DualityGap:
 def duality_gap(phi: NormingFunctionSpec, t, s) -> DualityGap:
     """Trace-pairing bound |Tr(TS)| <= ||T||_{phi*} ||S||_phi.
 
-    gap = bound - |pairing| is nonnegative up to 1e-9 roundoff.
+    gap = bound - |pairing| is nonnegative up to roundoff, which grows
+    with the bound.
     """
     tm = require_square(t, "T")
     sm = require_square(s, "S")
@@ -328,14 +302,14 @@ class PiRegularity:
     monotone_tail: bool
 
 
-def pi_regularity(pi: PiSequence, tail_slack: float = 1e-6) -> PiRegularity:
+def pi_regularity(pi: PiSequence) -> PiRegularity:
     """Finite-horizon report on the regularity ratios
     (pi_1 + ... + pi_n) / (n pi_n).
 
     Regularity proper is a supremum over all n and is not decidable from
     a finite prefix, so only the horizon sup is reported, together with a
     stabilization heuristic: whether the ratios have stopped growing
-    (each step increases by at most tail_slack) over the last half of the
+    (each step increases by at most TAIL_SLACK) over the last half of the
     horizon.
     """
     m = pi.horizon
@@ -343,7 +317,7 @@ def pi_regularity(pi: PiSequence, tail_slack: float = 1e-6) -> PiRegularity:
     n = np.arange(1, m + 1, dtype=float)
     ratios = np.cumsum(w) / (n * w)
     tail = ratios[m // 2 :]
-    monotone_tail = bool(np.all(np.diff(tail) <= tail_slack))
+    monotone_tail = bool(np.all(np.diff(tail) <= TAIL_SLACK))
     return PiRegularity(
         ratios=ratios,
         sup_over_horizon=float(ratios.max()),

@@ -38,6 +38,8 @@ UNITARY_TOL = 1e-9
 DEFAULT_CLUSTER_REL_TOL = 1e-8
 # smallest singular value a spectral-block corner may have in the cross-section
 CORNER_TOL = 1e-8
+# smallest singular value polar_decompose accepts
+POLAR_TOL = 1e-12
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -101,17 +103,17 @@ def defect_exceeds(d: np.ndarray, tol: float, m: np.ndarray | None = None) -> bo
     return not within(spectral_norm(d), tol, m)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return not defect_exceeds(m - m.conj().T, tol, m)
+def is_hermitian(m: np.ndarray) -> bool:
+    return not defect_exceeds(m - m.conj().T, HERM_TOL, m)
 
 
-def is_skew_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return not defect_exceeds(m + m.conj().T, tol, m)
+def is_skew_hermitian(m: np.ndarray) -> bool:
+    return not defect_exceeds(m + m.conj().T, HERM_TOL, m)
 
 
-def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     m = require_square(a, name)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         d = spectral_norm(m - m.conj().T)
         raise NotHermitian(f"{name}: Hermitian defect {d:.3e} exceeds tolerance")
     return 0.5 * (m + m.conj().T)
@@ -130,17 +132,17 @@ def hermitian_companion(t, name: str = "matrix") -> np.ndarray:
     raise NotHermitian(f"{name}: expected a Hermitian or skew-Hermitian matrix")
 
 
-def require_skew_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
+def require_skew_hermitian(a, name: str = "matrix") -> np.ndarray:
     m = require_square(a, name)
-    if not is_skew_hermitian(m, tol):
+    if not is_skew_hermitian(m):
         d = spectral_norm(m + m.conj().T)
         raise NotSkewHermitian(f"{name}: skew-Hermitian defect {d:.3e} exceeds tolerance")
     return 0.5 * (m - m.conj().T)
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     n = u.shape[0]
-    return n == u.shape[1] and not defect_exceeds(u.conj().T @ u - np.eye(n), tol)
+    return n == u.shape[1] and not defect_exceeds(u.conj().T @ u - np.eye(n), UNITARY_TOL)
 
 
 def require_unitary(u, name: str = "matrix") -> np.ndarray:
@@ -256,11 +258,6 @@ class SpectralData:
         v = self.frame
         return v @ ((v.conj().T @ s @ v) * self.mask()) @ v.conj().T
 
-    def reconstruct(self) -> np.ndarray:
-        """sum_i lambda_i E_i with the cluster means lambda_i."""
-        v = self.frame
-        return (v * np.repeat(self.eigenvalues, self.multiplicities)) @ v.conj().T
-
 
 @dataclass(frozen=True, eq=False)
 class FrameCertificate:
@@ -372,19 +369,19 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def polar_decompose(a, invertibility_tol: float = 1e-12) -> PolarFactors:
+def polar_decompose(a) -> PolarFactors:
     """Right polar decomposition A = X Q with X unitary and Q = (A*A)^{1/2}.
 
-    Requires the smallest singular value to exceed invertibility_tol;
+    Requires the smallest singular value to exceed POLAR_TOL;
     otherwise the unitary factor is not determined by A and NearSingular
     is raised.
     """
     m = require_square(a)
     u, s, vh = np.linalg.svd(m)
-    if len(s) == 0 or s[-1] <= invertibility_tol:
+    if len(s) == 0 or s[-1] <= POLAR_TOL:
         smin = float(s[-1]) if len(s) else 0.0
         raise NearSingular(
-            f"smallest singular value {smin:.3e} <= tolerance {invertibility_tol:.3e}"
+            f"smallest singular value {smin:.3e} <= tolerance {POLAR_TOL:.3e}"
         )
     x = u @ vh
     q = (vh.conj().T * s) @ vh

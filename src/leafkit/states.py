@@ -38,10 +38,9 @@ class DensityFunctional:
     """Self-adjoint functional x -> Tr(rho x), carried by its density."""
 
     rho: np.ndarray = field(repr=False)
-    herm_tol: float = 1e-10
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", require_hermitian(self.rho, self.herm_tol, "rho"))
+        object.__setattr__(self, "rho", require_hermitian(self.rho, name="rho"))
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +152,7 @@ def centralizer_block_check(phi: DensityFunctional, u) -> CentralizerBlockCheck:
 
     u_corner = cols.conj().T @ um @ cols
     rho_corner = cols.conj().T @ phi.rho @ cols
-    corner_unitary = is_unitary(u_corner, COMMUTATOR_TOL)
+    corner_unitary = is_unitary(u_corner)
     corner_commutes = not defect_exceeds(u_corner @ rho_corner - rho_corner @ u_corner, tol)
     return CentralizerBlockCheck(
         in_centralizer=in_centralizer,
@@ -191,7 +190,7 @@ def support_equivariance_check(phi: DensityFunctional, u) -> float:
     """Residual of s(Ad(u)* phi) = u^{-1} s(phi) u for a PSD density:
     the support of the conjugated density against the conjugated support."""
     um = require_unitary(u, name="u")
-    conj = DensityFunctional(um.conj().T @ phi.rho @ um, herm_tol=max(phi.herm_tol, 1e-9))
+    conj = DensityFunctional(um.conj().T @ phi.rho @ um)
     lhs = support_projection(conj)
     rhs = um.conj().T @ support_projection(phi) @ um
     return spectral_norm(lhs - rhs)

@@ -228,9 +228,10 @@ def polarization(t) -> PolarizationMask:
     The orientation (which of the two half-space choices is taken) is the
     one making -i omega_T(Z, Z*) >= 0 on the basis matrix units:
     row-cluster theta >= column-cluster theta.  A Hermitian reference is
-    read as its skew partner iT.
+    read as its skew partner iT.  The frame is not certified here:
+    polarization_properties certifies the mask it is given.
     """
-    return PolarizationMask(_reference(t)[1])
+    return PolarizationMask(SpectralData.from_hermitian(_companion(t)))
 
 
 def _require_samples(count: int) -> None:

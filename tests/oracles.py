@@ -9,11 +9,16 @@ ranks by SVD, the least-squares reconstruction of the split, and the
 sampled polarization and Kaehler loops as coefficient sums over a basis
 list.  They cost O(n^4) to O(n^6), so the tests use them at n <= 8.
 
-The sampled loops of radical_check, adjoint_defect and
-offdiag_bound_check are here one sample, candidate or block pair per
-iteration, as the library ran them before it stacked them; each draws
-from a generator the caller passes, so a test can compare what the
-library's generator consumed.
+The sampled loops of radical_check and offdiag_bound_check are here one
+sample or block pair per iteration, as the library ran them before it
+stacked them; each draws from a generator the caller passes, so a test
+can compare what the library's generator consumed.  adjoint_defect here
+is the library's former search, one candidate per iteration: the
+extremizers plus sample_count random nonincreasing sequences, which the
+library's extremizers alone must match.
+
+reconstruct is sum_i lambda_i E_i of a clustered eigenframe, which only
+the tests read.
 
 psi_per_cluster is the cross-section's psi(V) as the library built it
 before it read every corner off one frame product: one B_i* V B_i
@@ -196,8 +201,15 @@ def radical_pairing_max(tm, sd, sample_count, rng):
     return worst
 
 
+def reconstruct(sd):
+    """sum_i lambda_i E_i with the cluster means lambda_i of sd."""
+    v = sd.frame
+    return (v * np.repeat(sd.eigenvalues, sd.multiplicities)) @ v.conj().T
+
+
 def adjoint_defect(phi, eta, sample_count, rng):
-    """adjoint_defect with one pairing ratio per candidate."""
+    """adjoint_defect over the extremizers and sample_count random
+    candidates, with one pairing ratio per candidate."""
     eta = np.sort(np.abs(np.asarray(eta, dtype=float).ravel()))[::-1]
     target = eval_snf(adjoint_snf(phi), eta)
     m = max(len(eta), 1)

@@ -11,7 +11,7 @@ from leafkit import cli, orbits
 from leafkit.cli import run_command
 from leafkit.errors import ParseError, PreconditionError, ShapeError
 from leafkit.matrixio import emit_matrix, parse_matrix, parse_matrix_text, write_matrix
-from leafkit.opcore import SpectralData, matrix_exp, spectral_norm
+from leafkit.opcore import SpectralData, matrix_exp, polar_decompose, spectral_norm
 
 from conftest import hermitian_with_spectrum, random_skew, random_unitary
 
@@ -233,6 +233,19 @@ class TestSubcommands:
         assert code == 0
         assert report["results"]["pairing"] == [2.0, 0.0]
         assert abs(report["results"]["gap"]) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    def test_dual_check_gap_floor_scales_with_the_bound(self, capsys, workdir, rng, scale):
+        # pairs that attain the bound: S = T* for schatten:2, and S = X* with
+        # T = X Q the polar decomposition for max (adjoint schatten:1); the
+        # gap is roundoff of the bound, far below an absolute -1e-9 at scale
+        _, put = workdir
+        for _ in range(10):
+            t = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            for phi, s in (("schatten:2", t.conj().T), ("max", polar_decompose(t).unitary_part.conj().T)):
+                code, report = run(capsys, "dual-check", "--phi", phi, put("t.json", t), put("s.json", s))
+                assert code == 0, (phi, report["results"])
+                assert report["tolerances"]["gap_floor"] == -1e-9
 
     def test_adjoint(self, capsys):
         code, report = run(capsys, "adjoint", "--phi", "schatten:1.5")

@@ -28,10 +28,10 @@ from conftest import PHI_SET, SQRT_PI, random_psd, recorded_generators
 
 
 # every kind of gauge: the Schatten gauges, and both Lorentz gauges over
-# power, constant and prefix weights
+# power, constant (power 0) and prefix weights
 DEFECT_PHIS = PHI_SET + [
-    lorentz(PiSequence("constant")),
-    lorentz_dual(PiSequence("constant")),
+    lorentz(PiSequence("power", alpha=0.0)),
+    lorentz_dual(PiSequence("power", alpha=0.0)),
     lorentz(PiSequence("prefix_power", alpha=0.5, prefix=(1.0, 0.8, 0.5))),
     lorentz_dual(PiSequence("prefix_power", alpha=0.5, prefix=(1.0, 0.8, 0.5))),
 ]
@@ -52,9 +52,9 @@ class TestEval:
         assert max_norm() == schatten(np.inf)
 
     def test_lorentz_dual_constant(self):
-        phi = lorentz_dual(PiSequence("constant"))
+        phi = lorentz_dual(PiSequence("power", alpha=0.0))
         assert eval_snf(phi, [3, 1]) == 3.0
-        assert eval_snf(phi, [3, 1]) == lorentz_dual_oracle(PiSequence("constant"), [3, 1])
+        assert eval_snf(phi, [3, 1]) == lorentz_dual_oracle(PiSequence("power", alpha=0.0), [3, 1])
 
     def test_lorentz_dual_against_oracle(self, rng):
         phi = lorentz_dual(SQRT_PI)
@@ -176,34 +176,28 @@ class TestAdjoint:
         for phi in PHI_SET:
             for _ in range(5):
                 eta = np.sort(np.abs(rng.standard_normal(6)))[::-1]
-                assert adjoint_defect(phi, eta, sample_count=100, seed=3) >= -1e-9
-
-    def test_defect_rejects_negative_sample_count(self):
-        with pytest.raises(ValueError, match="sample_count"):
-            adjoint_defect(schatten(2), [1.0, 0.5], sample_count=-2)
-        # the extremizers alone are a meaningful check
-        assert adjoint_defect(schatten(2), [1.0, 0.5], sample_count=0) >= -1e-9
+                assert adjoint_defect(phi, eta) >= -1e-9
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         st.sampled_from(DEFECT_PHIS),
         st.sampled_from([0, 1, 5, 40]),
         st.integers(0, 2**32 - 1),
-        st.integers(0, 60),
     )
-    def test_defect_is_the_per_candidate_loop(self, phi, m, draw_seed, sample_count):
+    def test_defect_is_the_per_candidate_loop(self, phi, m, draw_seed):
         # signed, unsorted entries, some of them zero
         rng = np.random.default_rng(draw_seed)
         eta = rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4)
         eta[rng.random(m) < 0.2] = 0.0
-        seed = int(rng.integers(2**31))
         with recorded_generators() as made:
-            defect = adjoint_defect(phi, eta, sample_count=sample_count, seed=seed)
-        rng = np.random.default_rng(seed)
-        expected = oracles.adjoint_defect(phi, eta, sample_count, rng)
+            defect = adjoint_defect(phi, eta)
+        assert made == []
+        # the extremizers alone attain the supremum: 200 random candidates
+        # on top of them move the defect by roundoff at most
+        expected = oracles.adjoint_defect(phi, eta, 200, rng)
         target = eval_snf(adjoint_snf(phi), eta)
         assert abs(defect - expected) <= 8 * np.finfo(float).eps * max(1.0, target)
-        assert [g.bit_generator.state for g in made] == [rng.bit_generator.state]
+        assert defect >= -1e-9
 
 
 class TestDuality:
@@ -286,7 +280,7 @@ class TestCalculusMonotonicity:
 
 class TestPiRegularity:
     def test_constant(self):
-        res = pi_regularity(PiSequence("constant", horizon=1000))
+        res = pi_regularity(PiSequence("power", alpha=0.0, horizon=1000))
         np.testing.assert_allclose(res.ratios, 1.0)
         assert res.sup_over_horizon == 1.0
         assert res.monotone_tail

