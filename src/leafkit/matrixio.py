@@ -5,12 +5,21 @@ data field is a row-major nested array with one [re, im] pair of doubles
 per entry.  Serialization uses the shortest round-tripping decimal
 representation, so emit -> parse is bit-exact and parse -> emit is
 byte-identical modulo whitespace.
+
+Size rule: a matrix of at least FAST_ENTRIES entries is read and written
+through orjson, imported on first use; smaller ones never load it.  The
+fast path gives the same array and the same text as the stdlib codec, and
+the stdlib codec decides every refusal: a file that orjson or the shape
+checks refuse is parsed again with json.loads, so every message is the
+stdlib path's, and a matrix with a non-finite entry is written by
+json.dumps.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from itertools import chain
 from pathlib import Path
 from typing import NoReturn
@@ -19,20 +28,49 @@ import numpy as np
 
 from .errors import ParseError, ShapeError
 
+# matrices with at least this many entries go through orjson.  Importing
+# it takes 4-8 ms; on dense doubles it saves 6-14 ms per parse and ~19 ms
+# per emit at 2^14 entries, but only 2.5 and 3.9 ms at 2^12 (2-core x86-64)
+FAST_ENTRIES = 1 << 14
+
+# orjson writes the shortest round-tripping digits, as repr does, but
+# formats two kinds of token otherwise: an exponent with no "+" and no
+# leading zero ("1e16", "1e-7" for "1e+16", "1e-07"), and 1e-5 <= |x| < 1e-4
+# with none ("0.00001" for "1e-05"); the lookbehind keeps the second
+# pattern to whole tokens, so "10.00001" is left alone
+_EXPONENT = re.compile(r"e(-?)(\d+)")
+_SMALL_DECIMAL = re.compile(r"0\.0000(?<=[\[,-]0\.0000)\d*")
+
 
 def _reject_constant(token: str):
     raise ParseError(f"non-finite JSON token {token!r} is not a valid matrix entry")
 
 
-def matrix_to_obj(a: np.ndarray) -> dict:
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """The matrix as a contiguous (rows, cols, 2) array of [re, im]."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim == 1:
         m = m[:, None]
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
-    rows, cols = m.shape
-    data = np.ascontiguousarray(m).view(np.float64).reshape(rows, cols, 2).tolist()
-    return {"rows": rows, "cols": cols, "data": data}
+    return np.ascontiguousarray(m).view(np.float64).reshape(*m.shape, 2)
+
+
+def matrix_to_obj(a: np.ndarray) -> dict:
+    pairs = _pairs(a)
+    rows, cols, _ = pairs.shape
+    return {"rows": rows, "cols": cols, "data": pairs.tolist()}
+
+
+def _data_text(pairs: np.ndarray) -> str:
+    """json.dumps(pairs.tolist()).  A matrix with a non-finite entry goes
+    to json.dumps, since orjson would write null for it."""
+    if pairs.size < 2 * FAST_ENTRIES or not np.isfinite(pairs).all():
+        return json.dumps(pairs.tolist())
+    import orjson
+    text = orjson.dumps(pairs, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    text = _EXPONENT.sub(lambda m: f"e{m[1] or '+'}{m[2]:0>2}", text)
+    return _SMALL_DECIMAL.sub(lambda m: repr(float(m[0])), text).replace(",", ", ")
 
 
 def _raise_first_fault(data: list, cols: int, source: str) -> NoReturn:
@@ -91,6 +129,12 @@ def obj_to_matrix(obj, source: str = "<matrix>") -> np.ndarray:
 
 
 def parse_matrix_text(text: str, source: str = "<matrix>") -> np.ndarray:
+    if text.count("[") > FAST_ENTRIES:  # one "[" per entry, one per row, one more
+        import orjson
+        try:
+            return obj_to_matrix(orjson.loads(text), source)
+        except (orjson.JSONDecodeError, ParseError, ShapeError):
+            pass  # json.loads decides the refusal and its message
     try:
         obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
@@ -111,25 +155,30 @@ def indented_matrix_text(a: np.ndarray, indent: str) -> str:
     """The text json.dumps(matrix_to_obj(a), indent=2) gives for a
     nonempty matrix whose opening brace is on a line indented by indent.
 
-    The C encoder writes the [re, im] pairs on one line; since no float
-    repr holds a bracket or ", ", three replacements put every bracket and
-    number on its own line, as the pure-Python indenting encoder would."""
-    obj = matrix_to_obj(a)
+    _data_text writes the [re, im] pairs on one line, as the C encoder
+    does; since no float repr holds a bracket or ", ", three replacements
+    put every bracket and number on its own line, as the pure-Python
+    indenting encoder would."""
+    pairs = _pairs(a)
+    rows, cols, _ = pairs.shape
     i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
     body = (
-        json.dumps(obj["data"])[3:-3]
+        _data_text(pairs)[3:-3]
         .replace("]], [[", f"\n{i3}]\n{i2}],\n{i2}[\n{i3}[\n{i4}")
         .replace("], [", f"\n{i3}],\n{i3}[\n{i4}")
         .replace(", ", f",\n{i4}")
     )
     return (
-        f'{{\n{i1}"cols": {obj["cols"]},\n{i1}"data": [\n{i2}[\n{i3}[\n{i4}{body}'
-        f'\n{i3}]\n{i2}]\n{i1}],\n{i1}"rows": {obj["rows"]}\n{indent}}}'
+        f'{{\n{i1}"cols": {cols},\n{i1}"data": [\n{i2}[\n{i3}[\n{i4}{body}'
+        f'\n{i3}]\n{i2}]\n{i1}],\n{i1}"rows": {rows}\n{indent}}}'
     )
 
 
 def emit_matrix(a: np.ndarray) -> str:
-    return json.dumps(matrix_to_obj(a), sort_keys=True)
+    """json.dumps(matrix_to_obj(a), sort_keys=True)."""
+    pairs = _pairs(a)
+    rows, cols, _ = pairs.shape
+    return f'{{"cols": {cols}, "data": {_data_text(pairs)}, "rows": {rows}}}'
 
 
 def write_matrix(a: np.ndarray, path) -> None:

@@ -321,6 +321,25 @@ class TestSubcommands:
         assert code == 0
         assert isinstance(report["results"]["value"], float)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    def test_pinch_bounds_scale_with_s(self, capsys, workdir, rng, scale):
+        # over a clustered T, a general S and one already block diagonal
+        # (E(S) = S): the residuals and the contraction excess are roundoff
+        # of ||S||, far above an absolute 1e-10 or 1e-9 at scale 1e8
+        _, put = workdir
+        sizes = (3, 3, 2)
+        for _ in range(10):
+            f = random_unitary(8, rng)
+            t = put("t.json", f @ np.diag(np.repeat([1.0, 2.0, 3.0], sizes)) @ f.conj().T)
+            general = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            blocks = np.zeros((8, 8), dtype=complex)
+            for start, size in zip((0, 3, 6), sizes):
+                blocks[start:start + size, start:start + size] = general[start:start + size, start:start + size]
+            for s in (general, f @ blocks @ f.conj().T):
+                code, report = run(capsys, "pinch", t, put("s.json", scale * s))
+                assert code == 0, report["results"]
+                assert report["tolerances"] == {"idempotency": 1e-10, "commutation": 1e-9, "contraction": 1e-9}
+
     def test_radical_polarization_kahler(self, capsys, workdir):
         _, put = workdir
         t = put("t.json", np.diag([2j, 1j, 0.0]))

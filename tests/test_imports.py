@@ -1,5 +1,6 @@
 """Import budget of the one-shot CLI: `import leafkit.cli` loads no
-handler module, and the package still exports every public name it
+handler module, a process that reads and writes only small matrices never
+loads orjson, and the package still exports every public name it
 exported when its __init__ imported all modules eagerly."""
 
 import importlib
@@ -8,6 +9,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import leafkit
 
@@ -19,6 +22,7 @@ LAZY_MODULES = [
     "leafkit.cross_section",
     "leafkit.norming",
     "numpy.polynomial",
+    "orjson",
 ]
 
 EAGER_EXPORTS = {
@@ -43,14 +47,39 @@ EAGER_EXPORTS = {
 }
 
 
-def test_cli_import_loads_no_handler_module():
+def loaded_modules(code: str, *args: str) -> set:
+    """The modules a fresh interpreter holds after code, which prints
+    them as its last line of stdout."""
     src = str(Path(leafkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import json, sys, leafkit.cli; print(json.dumps(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    loaded = set(json.loads(proc.stdout))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_handler_module():
+    loaded = loaded_modules("import json, sys, leafkit.cli; print(json.dumps(sorted(sys.modules)))")
     assert "leafkit.cli" in loaded
     assert loaded.isdisjoint(LAZY_MODULES), sorted(loaded.intersection(LAZY_MODULES))
+
+
+def test_small_calls_never_load_orjson(tmp_path):
+    # n <= 8 files are parsed, printed (phi) and written (--out) by the
+    # stdlib codec alone, so a small call does not pay orjson's import
+    from leafkit.matrixio import FAST_ENTRIES, write_matrix
+    from leafkit.opcore import matrix_exp
+
+    assert 8 * 8 < FAST_ENTRIES
+    t, v = tmp_path / "t.json", tmp_path / "v.json"
+    write_matrix(np.diag([1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 5.0, 8.0]), t)
+    write_matrix(matrix_exp(0.1j * np.diag(np.arange(8.0))), v)
+    calls = [["cross-section", str(t), str(v)], ["orbit-sample", str(t), "--out", str(tmp_path / "x_")],
+             ["pinch", str(t), str(v)], ["norm", "--phi", "schatten:1", str(v)]]
+    code = ("import json, sys; from leafkit.cli import run_command\n"
+            "codes = [run_command(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(sorted(sys.modules) if codes == [0] * len(codes) else codes))")
+    loaded = loaded_modules(code, json.dumps(calls))
+    assert "leafkit.matrixio" in loaded and (tmp_path / "x_0.json").is_file()
+    assert "orjson" not in loaded
 
 
 def test_every_eager_export_still_resolves():
